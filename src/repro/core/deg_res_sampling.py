@@ -8,19 +8,49 @@ set. For every vertex in the reservoir the next up-to-``d2`` incident
 edges are collected (the triggering edge included, so a vertex of final
 degree ``deg`` yields ``min(d2, deg - d1 + 1)`` neighbors).
 
-The per-batch implementation is vectorised: running degrees via a
-grouped cumulative count, then a sequential pass over only the (rare)
-candidate events, then vectorised edge collection for current reservoir
-members. Semantics are exactly the paper's per-edge loop — batching is
-an execution detail, and ``tests/test_deg_res_sampling.py`` asserts
-batch-size invariance.
+A micro-batch is processed in two steps. First, a sequential pass over
+only the (rare) candidate rows makes the reservoir decisions in stream
+order, drawing from the RNG exactly as the paper's per-edge loop does.
+Second, one call of the stream-order kernel
+(:func:`repro.core.collect.first_rows`) gives every membership interval
+of the batch its edges: each member takes the first rows of its vertex
+at or after its entry row and, if it was evicted in the batch, before
+its eviction row. Those rows also give the exact peak of the collected
+words inside the batch. Semantics are exactly the paper's per-edge loop
+— batching is an execution detail, and ``tests/test_deg_res_sampling.py``
+checks the batched processor against a per-edge reference.
+
+Each member's witnesses are stored as one machine-word ``array('q')``;
+:attr:`DegResSampling.collected` is a read-only dict-of-lists view.
 """
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Mapping
 from typing import Optional
 
 import numpy as np
 import pandas as pd
+
+from repro.core.collect import first_rows, running_rank
+
+
+class WitnessView(Mapping):
+    """Read-only ``{vertex: [witness, ...]}`` view of a witness store."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, vertices: list[int], witnesses: list[array]) -> None:
+        self._store = dict(zip(vertices, witnesses))
+
+    def __getitem__(self, v: int) -> list[int]:
+        return self._store[v].tolist()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._store)
+
+    def __len__(self) -> int:
+        return len(self._store)
 
 
 class DegResSampling:
@@ -56,11 +86,17 @@ class DegResSampling:
         self.s = s
         self.rng = np.random.default_rng(seed)
         self._own_deg = shared_degrees is None
-        self.deg = np.zeros(n, dtype=np.int64) if self._own_deg else shared_degrees
+        self.deg = np.zeros(n, dtype=np.int32) if self._own_deg else shared_degrees
         self.x = 0  # candidates seen so far (paper's x)
-        self._res: list[int] = []  # reservoir as list for O(1) uniform evict
-        self._res_pos: dict[int, int] = {}
-        self.collected: dict[int, list[int]] = {}  # vertex -> collected b's
+        # Reservoir slot j (j < _occ) holds vertex _slots[j], the
+        # _entry[j]-th candidate, whose witnesses are _wit[j] and number
+        # _lens[j]. The slot arrays grow with the occupancy, up to s.
+        self._slots = np.zeros(0, dtype=np.int64)
+        self._entry = np.zeros(0, dtype=np.int64)
+        self._lens = np.zeros(0, dtype=np.int64)
+        self._wit: list[array | None] = []
+        self._occ = 0
+        self._words = 0  # sum of _lens[:_occ]: the collected witnesses
         self.peak_collected = 0
 
     # ------------------------------------------------------------------ #
@@ -71,10 +107,8 @@ class DegResSampling:
             raise ValueError("Deg-Res-Sampling handles insertion-only streams")
         a = batch["a"].to_numpy()
         b = batch["b"].to_numpy()
-        occ = pd.Series(a).groupby(a).cumcount().to_numpy()
-        new_deg = self.deg[a] + occ + 1
-        cand_rows = np.flatnonzero(new_deg == self.d1)
-        self.ingest(a, b, cand_rows)
+        new_deg = self.deg[a] + running_rank(a) + 1
+        self.ingest(a, b, np.flatnonzero(new_deg == self.d1))
         if self._own_deg:
             np.add.at(self.deg, a, 1)
 
@@ -84,75 +118,107 @@ class DegResSampling:
         ``cand_rows`` are batch row indices where a vertex's running
         degree hits ``d1`` exactly, in stream order.
         """
-        enter_row: dict[int, int] = {}
-        for i in cand_rows.tolist():
-            v = int(a[i])
+        occ = self._occ
+        cap = len(self._slots)
+        if occ + len(cand_rows) > cap and cap < self.s:
+            self._grow(min(self.s, max(occ + len(cand_rows), 2 * cap)))
+        slots, entry, lens, wit = self._slots, self._entry, self._lens, self._wit
+        # Entry row of each slot's member if it entered in this batch.
+        start = np.zeros(len(slots), dtype=np.int64)
+        # Members evicted in this batch: vertex, entry row, eviction row,
+        # witnesses held at the start of the batch.
+        gone: list[tuple[int, int, int, int]] = []
+        for i, v in zip(cand_rows.tolist(), a[cand_rows].tolist()):
             self.x += 1
-            if len(self._res) < self.s:
-                self._insert(v, i, enter_row)
+            if occ < self.s:
+                k = occ
+                occ += 1
             elif self.rng.random() < self.s / self.x:
-                out = self._res[int(self.rng.integers(len(self._res)))]
-                self._remove(out, enter_row)
-                self._insert(v, i, enter_row)
-        # Vectorised collection for current members only: evicted
-        # vertices' edges were discarded anyway (paper line 12).
-        if not self._res:
-            return
-        r_arr = np.fromiter(self._res, dtype=np.int64, count=len(self._res))
-        rows = np.flatnonzero(np.isin(a, r_arr))
-        if len(rows) == 0:
-            return
-        sub = pd.DataFrame({"row": rows, "a": a[rows], "b": b[rows]})
-        for v, grp in sub.groupby("a", sort=False):
-            v = int(v)
-            have = self.collected[v]
-            need = self.d2 - len(have)
-            if need <= 0:
+                k = int(self.rng.integers(occ))
+                gone.append((int(slots[k]), int(start[k]), i, int(lens[k])))
+                # Move the last slot into the hole and append the new
+                # member, as a list-backed reservoir does.
+                last = occ - 1
+                slots[k], entry[k], lens[k], start[k] = (
+                    slots[last], entry[last], lens[last], start[last])
+                wit[k] = wit[last]
+                k = last
+            else:
                 continue
-            lo = enter_row.get(v, -1)
-            take = grp[grp["row"] >= lo].head(need)
-            have.extend(int(x) for x in take["b"].tolist())
-        self.peak_collected = max(
-            self.peak_collected, sum(len(v) for v in self.collected.values())
-        )
+            slots[k], entry[k], lens[k], start[k] = v, self.x, 0, i
+            wit[k] = array("q")
+        self._occ = occ
+        if occ == 0:
+            return
 
-    def _insert(self, v: int, row: int, enter_row: dict[int, int]) -> None:
-        self._res_pos[v] = len(self._res)
-        self._res.append(v)
-        self.collected[v] = []
-        enter_row[v] = row
+        # Every membership interval of the batch gets its rows: current
+        # members up to the batch end, evicted ones up to their eviction.
+        n_rows = len(a)
+        keys, need, lo, hi = slots[:occ], self.d2 - lens[:occ], start[:occ], n_rows
+        if gone:
+            g_v, g_lo, g_hi, g_held = (np.array(col, dtype=np.int64) for col in zip(*gone))
+            keys = np.concatenate([keys, g_v])
+            need = np.concatenate([need, self.d2 - g_held])
+            lo = np.concatenate([lo, g_lo])
+            hi = np.concatenate([np.full(occ, n_rows), g_hi])
+        rows, counts = first_rows(a, keys, need, lo, hi)
+        if len(rows) == 0 and not gone:
+            return
 
-    def _remove(self, v: int, enter_row: dict[int, int]) -> None:
-        pos = self._res_pos.pop(v)
-        last = self._res.pop()
-        if last != v:
-            self._res[pos] = last
-            self._res_pos[last] = pos
-        del self.collected[v]
-        enter_row.pop(v, None)
+        # Exact in-batch peak: +1 word at each collected row, and an
+        # evicted member's words released at its eviction row.
+        words0 = self._words
+        delta = np.bincount(rows, minlength=n_rows)
+        if gone:
+            np.subtract.at(delta, g_hi, g_held + counts[occ:])
+            self._words -= int(g_held.sum())
+        self.peak_collected = max(self.peak_collected, words0 + int(np.cumsum(delta).max()))
+
+        kept = counts[:occ]
+        lens[:occ] += kept
+        self._words += int(kept.sum())
+        got = memoryview(np.ascontiguousarray(b[rows], dtype=np.int64)).cast("B")
+        ends = np.cumsum(kept)
+        touched = np.flatnonzero(kept)
+        for j, c, e in zip(touched.tolist(), kept[touched].tolist(), ends[touched].tolist()):
+            wit[j].frombytes(got[8 * (e - c) : 8 * e])
+
+    def _grow(self, cap: int) -> None:
+        """Widen the slot arrays to ``cap`` slots."""
+        pad = np.zeros(cap - len(self._slots), dtype=np.int64)
+        self._slots, self._entry, self._lens = (
+            np.concatenate([col, pad]) for col in (self._slots, self._entry, self._lens))
+        self._wit.extend([None] * len(pad))
 
     # ------------------------------------------------------------------ #
 
     @property
     def reservoir(self) -> list[int]:
-        return list(self._res)
+        return self._slots[: self._occ].tolist()
 
-    def neighborhoods(self) -> dict[int, list[int]]:
-        """All collected (possibly partial) neighborhoods."""
-        return {v: list(bs) for v, bs in self.collected.items()}
+    def _by_entry(self, slots: np.ndarray) -> np.ndarray:
+        """``slots`` ordered by when their members entered the reservoir."""
+        return slots[np.argsort(self._entry[slots])]
+
+    @property
+    def collected(self) -> WitnessView:
+        """Each member's collected witnesses, in stream order (read-only),
+        members in order of entry."""
+        order = self._by_entry(np.arange(self._occ)).tolist()
+        return WitnessView(self._slots[order].tolist(), [self._wit[j] for j in order])
 
     def succeeded(self) -> bool:
         """Paper's success: some stored neighborhood reached size ``d2``."""
-        return any(len(bs) >= self.d2 for bs in self.collected.values())
+        return bool((self._lens[: self._occ] >= self.d2).any())
 
     def result(self) -> Optional[tuple[int, set[int]]]:
         """Uniform random neighborhood among those of size ``d2``; None=fail."""
-        full = [(v, bs) for v, bs in self.collected.items() if len(bs) >= self.d2]
-        if not full:
+        full = self._by_entry(np.flatnonzero(self._lens[: self._occ] >= self.d2))
+        if len(full) == 0:
             return None
-        v, bs = full[int(self.rng.integers(len(full)))]
-        return v, set(bs)
+        j = int(full[int(self.rng.integers(len(full)))])
+        return int(self._slots[j]), set(self._wit[j])
 
     def space_words(self) -> int:
         own = self.n if self._own_deg else 0
-        return own + len(self._res) + sum(len(v) for v in self.collected.values()) + 2
+        return own + self._occ + self._words + 2

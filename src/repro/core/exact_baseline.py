@@ -22,6 +22,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
+from repro.core.collect import append_grouped, first_rows
+
 
 class ExactND:
     """Sequential exact algorithm: first ``min(deg, d)`` edges per vertex."""
@@ -36,12 +38,11 @@ class ExactND:
             raise ValueError("ExactND handles insertion-only streams")
         a = batch["a"].to_numpy()
         b = batch["b"].to_numpy()
+        # A vertex of degree deg already stores min(deg, d) edges.
+        keys = np.unique(a)
+        rows, counts = first_rows(a, keys, self.d - np.minimum(self.deg[keys], self.d))
+        append_grouped(self.stored, keys, counts, b[rows])
         np.add.at(self.deg, a, 1)
-        for v, grp in pd.DataFrame({"a": a, "b": b}).groupby("a", sort=False):
-            lst = self.stored.setdefault(int(v), [])
-            need = self.d - len(lst)
-            if need > 0:
-                lst.extend(int(x) for x in grp["b"].head(need).tolist())
 
     def result(self) -> Optional[tuple[int, set[int]]]:
         """The A-vertex of maximum degree with its stored neighborhood."""

@@ -9,16 +9,23 @@ Two execution modes:
 
 - :class:`InsertionOnlyND` — the sequential reference processor
   (``repro.streamsim.runner.StreamProcessor``), semantics exactly the
-  paper's.
+  paper's. Per micro-batch it finds each run's candidate rows from the
+  shared degrees and every row's rank among its vertex's rows
+  (:func:`repro.core.collect.running_rank`), then lets each run ingest
+  the batch.
 - :func:`run_distributed` — a Spark variant: the stream is hash-
-  partitioned on the A-vertex (Catalyst), each partition runs the same
-  threshold/collection logic with *priority-based bottom-k* reservoirs
-  (deterministic per-vertex priorities), and the driver merges by
-  taking the global ``s`` smallest priorities per run. Bottom-k over
-  disjoint candidate sets is distribution-identical to sequential
-  reservoir sampling, and a vertex in the global bottom-k was in its
-  partition's bottom-k from its candidate edge onward, so collection
-  semantics match the sequential algorithm edge-for-edge.
+  partitioned on the A-vertex (Catalyst), so each partition sees all of
+  a vertex's edges and its degrees are exact. Each partition keeps a
+  *priority-based bottom-k* sample per run (deterministic per-vertex
+  priorities): the ``s`` candidates of smallest priority, each of which
+  collects its first ``d/c`` edges from its candidate edge on through
+  the same stream-order kernel as the sequential runs
+  (:func:`repro.core.collect.first_rows`). The driver merges by taking
+  the global ``s`` smallest priorities per run. Bottom-k over disjoint
+  candidate sets is distribution-identical to sequential reservoir
+  sampling, and a vertex in the global bottom-k was in its partition's
+  bottom-k from its candidate edge onward, so collection semantics match
+  the sequential algorithm edge-for-edge.
 """
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.collect import first_rows, running_rank
 from repro.core.deg_res_sampling import DegResSampling
 from repro.space import reservoir_size
 
@@ -49,7 +57,9 @@ class InsertionOnlyND:
         self.n, self.d, self.c = n, d, c
         self.d_c = max(1, d // c)
         self.s = reservoir_size(n, c) if s is None else s
-        self.deg = np.zeros(n, dtype=np.int64)
+        # 32-bit counters (a degree stays below 2^31): the degree array
+        # is the largest part of the processor's memory.
+        self.deg = np.zeros(n, dtype=np.int32)
         self.runs = [
             DegResSampling(
                 n, d1, self.d_c, self.s, seed=seed * 1000 + i, shared_degrees=self.deg
@@ -63,8 +73,7 @@ class InsertionOnlyND:
             raise ValueError("insertion-only algorithm got a deletion")
         a = batch["a"].to_numpy()
         b = batch["b"].to_numpy()
-        occ = pd.Series(a).groupby(a).cumcount().to_numpy()
-        new_deg = self.deg[a] + occ + 1
+        new_deg = self.deg[a] + running_rank(a) + 1
         for run in self.runs:
             run.ingest(a, b, np.flatnonzero(new_deg == run.d1))
         np.add.at(self.deg, a, 1)
@@ -121,46 +130,29 @@ def _partition_pass(
     pdf = pdf.sort_values("pos", kind="stable")
     a = pdf["a"].to_numpy()
     b = pdf["b"].to_numpy()
-    occ = pd.Series(a).groupby(a).cumcount().to_numpy()
     # Degrees are exact per partition: every edge of a vertex lands here.
-    new_deg = occ + 1
-    out_run, out_v, out_prio, out_b = [], [], [], []
+    new_deg = running_rank(a) + 1
+    parts = []
     for run_i, d1 in enumerate(thresholds):
         cand_rows = np.flatnonzero(new_deg == d1)
-        cand_v = a[cand_rows]
-        prios = _priority(seed, run_i, cand_v)
-        # Bottom-k membership interval per candidate: v is a member from
-        # its candidate edge until s candidates with smaller priority
-        # have arrived (then it is evicted, never to return).
-        members: list[tuple[float, int, int]] = []  # (prio, v, enter_row)
-        for idx in range(len(cand_rows)):
-            v, p, row = int(cand_v[idx]), float(prios[idx]), int(cand_rows[idx])
-            if len(members) < s:
-                members.append((p, v, row))
-            else:
-                worst = max(range(len(members)), key=lambda j: members[j][0])
-                if p < members[worst][0]:
-                    members[worst] = (p, v, row)
-        live = {v: (row, p) for (p, v, row) in members}
-        if live:
-            rows = np.flatnonzero(np.isin(a, np.fromiter(live, dtype=np.int64)))
-            sub = pd.DataFrame({"row": rows, "a": a[rows], "b": b[rows]})
-            for v, grp in sub.groupby("a", sort=False):
-                v = int(v)
-                enter, p = live[v]
-                take = grp[grp["row"] >= enter].head(d_c)
-                for bb in take["b"].tolist():
-                    out_run.append(run_i)
-                    out_v.append(v)
-                    out_prio.append(p)
-                    out_b.append(int(bb))
-        out_run.append(run_i)
-        out_v.append(-1)
-        out_prio.append(0.0)
-        out_b.append(len(cand_rows))
-    return pd.DataFrame(
-        {"run": out_run, "v": out_v, "prio": out_prio, "b": out_b}
-    ).astype({"run": "int32", "v": "int64", "prio": "float64", "b": "int64"})
+        prios = _priority(seed, run_i, a[cand_rows])
+        # A candidate stays in the bottom-k sample from its candidate
+        # edge until s candidates of smaller priority have arrived, and
+        # then never returns; so the members at the end of the stream
+        # are the s smallest priorities (earliest first among ties), and
+        # only they emit edges.
+        keep = np.argsort(prios, kind="stable")[:s]
+        members = a[cand_rows[keep]]
+        rows, counts = first_rows(a, members, d_c, cand_rows[keep])
+        parts.append(pd.DataFrame({
+            "run": run_i,
+            "v": np.append(np.repeat(members, counts), -1),
+            "prio": np.append(np.repeat(prios[keep], counts), 0.0),
+            "b": np.append(b[rows], len(cand_rows)),
+        }))
+    return pd.concat(parts, ignore_index=True).astype(
+        {"run": "int32", "v": "int64", "prio": "float64", "b": "int64"}
+    )
 
 
 def run_distributed(

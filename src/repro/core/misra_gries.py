@@ -16,7 +16,10 @@ Table 7 quantifies the gap.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
+
+from repro.core.collect import append_grouped, first_rows
 
 
 class MisraGries:
@@ -86,14 +89,14 @@ class MisraGriesWitness(MisraGries):
 
     def process_batch(self, batch: pd.DataFrame) -> None:
         self.n_seen += len(batch)
-        counts = batch["a"].value_counts()
-        for item, cnt in counts.items():
-            self.counters[int(item)] = self.counters.get(int(item), 0) + int(cnt)
-        for item, grp in batch.groupby("a", sort=False):
-            buf = self.witnesses.setdefault(int(item), [])
-            need = self.w - len(buf)
-            if need > 0:
-                buf.extend(int(x) for x in grp["b"].head(need).tolist())
+        a = batch["a"].to_numpy()
+        keys, freq = np.unique(a, return_counts=True)
+        need = []
+        for item, cnt in zip(keys.tolist(), freq.tolist()):
+            self.counters[item] = self.counters.get(item, 0) + cnt
+            need.append(self.w - len(self.witnesses.get(item, ())))
+        rows, taken = first_rows(a, keys, np.array(need, dtype=np.int64))
+        append_grouped(self.witnesses, keys, taken, batch["b"].to_numpy()[rows])
         self._shrink()
 
     def witnesses_of(self, item: int) -> list[int]:

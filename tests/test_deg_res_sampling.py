@@ -2,6 +2,8 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.deg_res_sampling import DegResSampling
 from repro.streamsim.runner import run_stream_pandas
@@ -168,3 +170,122 @@ def test_shared_degree_mode_does_not_own_degrees():
     deg = np.zeros(8, dtype=np.int64)
     p = DegResSampling(8, 2, 2, 2, shared_degrees=deg)
     assert p.space_words() < 8  # no degree array charged
+
+
+# ---------------------------------------------------------------------- #
+# The batched processor against Algorithm 1 written as the paper's loop
+# ---------------------------------------------------------------------- #
+
+class PerEdgeAlg1:
+    """Algorithm 1 one edge at a time, as the paper writes it.
+
+    The reservoir is a list; an eviction moves the last member into the
+    evicted one's place and appends the newcomer, and the RNG is drawn
+    in the same order as the batched processor draws it. ``peak`` is the
+    largest number of collected witnesses after any edge.
+    """
+
+    def __init__(self, n, d1, d2, s, seed):
+        self.n, self.d1, self.d2, self.s = n, d1, d2, s
+        self.rng = np.random.default_rng(seed)
+        self.deg = [0] * n
+        self.x = 0
+        self.res = []
+        self.coll = {}
+        self.peak = 0
+
+    def edge(self, a, b):
+        self.deg[a] += 1
+        if self.deg[a] == self.d1:  # a becomes a candidate
+            self.x += 1
+            if len(self.res) < self.s:
+                self.res.append(a)
+                self.coll[a] = []
+            elif self.rng.random() < self.s / self.x:  # Coin(s/x)
+                k = int(self.rng.integers(len(self.res)))
+                out = self.res[k]
+                self.res[k] = self.res[-1]
+                self.res.pop()
+                del self.coll[out]
+                self.res.append(a)
+                self.coll[a] = []
+        if a in self.coll and len(self.coll[a]) < self.d2:
+            self.coll[a].append(b)
+        self.peak = max(self.peak, sum(len(w) for w in self.coll.values()))
+
+    def result(self):
+        full = [v for v, ws in self.coll.items() if len(ws) >= self.d2]
+        if not full:
+            return None
+        v = full[int(self.rng.integers(len(full)))]
+        return v, set(self.coll[v])
+
+    def space_words(self):
+        return self.n + len(self.res) + sum(len(w) for w in self.coll.values()) + 2
+
+
+def run_batched(edges, n, d1, d2, s, seed, batch_size, after_batch=None):
+    p = DegResSampling(n, d1, d2, s, seed=seed)
+    pdf = mk_stream(edges)
+    for lo in range(0, len(pdf), batch_size):
+        p.process_batch(pdf.iloc[lo : lo + batch_size].reset_index(drop=True))
+        if after_batch is not None:
+            after_batch(p)
+    return p
+
+
+def assert_same_as_reference(p, ref):
+    assert p.collected == ref.coll
+    assert list(p.collected) == list(ref.coll)  # result() draws by this order
+    assert p.reservoir == ref.res
+    assert p.x == ref.x
+    assert p.space_words() == ref.space_words()
+    assert p.peak_collected == ref.peak
+    assert p.succeeded() == any(len(w) >= ref.d2 for w in ref.coll.values())
+    assert p.result() == ref.result()
+
+
+N_REF = 8
+edges_st = st.lists(st.tuples(st.integers(0, N_REF - 1), st.integers(0, 40)), max_size=150)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=edges_st,
+    d1=st.integers(1, 4),
+    d2=st.integers(1, 5),
+    s=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    batch_size=st.integers(1, 60),
+)
+def test_batched_matches_per_edge_reference(edges, d1, d2, s, seed, batch_size):
+    """Random streams (repeated vertices inside one batch included) give
+    the per-edge loop's collections, reservoir, counters, space, exact
+    peak and result draw at every batch size."""
+    ref = PerEdgeAlg1(N_REF, d1, d2, s, seed)
+    for a, b in edges:
+        ref.edge(a, b)
+    p = run_batched(edges, N_REF, d1, d2, s, seed, batch_size)
+    assert_same_as_reference(p, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=edges_st, d1=st.integers(1, 3), s=st.integers(1, 3), batch_size=st.integers(1, 40))
+def test_word_counter_equals_recomputed_sum(edges, d1, s, batch_size):
+    def check(p):
+        words = sum(len(w) for w in p.collected.values())
+        assert p.space_words() == N_REF + len(p.reservoir) + words + 2
+        assert p.peak_collected >= words
+
+    run_batched(edges, N_REF, d1, 3, s, 1, batch_size, after_batch=check)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_entry_and_eviction_in_one_batch(seed):
+    """s = 1 and one batch: vertex 1 can enter and be evicted by vertex 2
+    before the batch ends, while its neighbours keep arriving."""
+    edges = [(0, 0), (1, 10), (0, 1), (1, 11), (2, 20), (1, 12), (2, 21), (1, 13)]
+    ref = PerEdgeAlg1(4, 2, 3, 1, seed)
+    for a, b in edges:
+        ref.edge(a, b)
+    assert_same_as_reference(run_batched(edges, 4, 2, 3, 1, seed, len(edges)), ref)

@@ -140,6 +140,20 @@ def test_batch_size_invariance():
         assert ra.collected == rb.collected
 
 
+def test_peak_collected_independent_of_batch_size():
+    """The peak of the collected witnesses is tracked inside each batch,
+    so it does not depend on where the batch boundaries fall."""
+    n, d, c = 128, 32, 4
+    pdf, _ = synth_data.planted_star_pandas(
+        n=n, m=512, d=d, avg_deg=6.0, order="random", seed=43
+    )
+    peaks = [
+        [r.peak_collected for r in run_on(pdf, n, d, c, seed=7, batch_size=bs).runs]
+        for bs in (1, 7, 1024, 65536)
+    ]
+    assert peaks[0] == peaks[1] == peaks[2] == peaks[3]
+
+
 def test_no_heavy_vertex_no_false_large_output():
     """Without the promise the algorithm may fail, but any output is
     still a genuine neighborhood (soundness)."""

@@ -1,9 +1,10 @@
 """Distributed (Spark applyInPandas + bottom-k merge) Algorithm 2."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import synth_data
-from repro.core.insertion_only import _priority, run_distributed
+from repro.core.insertion_only import _partition_pass, _priority, run_distributed
 from repro.space import reservoir_size
 
 
@@ -79,3 +80,42 @@ def test_distributed_collections_match_thresholds(instance):
         # collected is a subset of the vertex's edges from index d1-1 on
         assert set(bs) <= set(edges_v[d1 - 1 :])
         assert len(bs) <= d1
+
+
+def partition_pass_loop(pdf, thresholds, d_c, s, seed):
+    """One partition, edge by edge: per run a bottom-k sample that
+    replaces its largest priority when a smaller one arrives, each member
+    collecting up to d_c edges from its candidate edge on."""
+    rows = set()
+    for run_i, d1 in enumerate(thresholds):
+        deg, members, x = {}, {}, 0  # members: v -> (prio, witnesses)
+        for a, b in zip(pdf["a"], pdf["b"]):
+            deg[a] = deg.get(a, 0) + 1
+            if deg[a] == d1:
+                x += 1
+                p = float(_priority(seed, run_i, np.array([a]))[0])
+                if len(members) < s:
+                    members[a] = (p, [])
+                else:
+                    worst = max(members, key=lambda v: members[v][0])
+                    if p < members[worst][0]:
+                        del members[worst]
+                        members[a] = (p, [])
+            if a in members and len(members[a][1]) < d_c:
+                members[a][1].append(b)
+        rows |= {(run_i, v, p, b) for v, (p, bs) in members.items() for b in bs}
+        rows.add((run_i, -1, 0.0, x))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_partition_pass_matches_edge_loop(seed):
+    g = np.random.default_rng(seed)
+    m = int(g.integers(0, 300))
+    s = int(g.integers(1, 8))
+    pdf = pd.DataFrame({"pos": g.permutation(m), "a": g.integers(0, 40, m),
+                        "b": np.arange(m), "op": 1})
+    out = _partition_pass(pdf, [1, 3, 5], d_c=4, s=s, seed=seed)
+    got = set(zip(out["run"], out["v"], out["prio"], out["b"]))
+    assert len(got) == len(out)
+    assert got == partition_pass_loop(pdf.sort_values("pos"), [1, 3, 5], 4, s, seed)
