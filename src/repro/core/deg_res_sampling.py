@@ -1,30 +1,43 @@
 """Algorithm 1: ``Deg-Res-Sampling(d1, d2, s)`` (paper §3.1).
 
 Maintains all A-vertex degrees; the moment a vertex's degree reaches
-``d1`` it becomes a reservoir *candidate* and is kept with probability
-``s/x`` (``x`` = number of candidates so far), evicting a uniform
-member when full — the classic reservoir invariant over the candidate
-set. For every vertex in the reservoir the next up-to-``d2`` incident
-edges are collected (the triggering edge included, so a vertex of final
-degree ``deg`` yields ``min(d2, deg - d1 + 1)`` neighbors).
+``d1`` it becomes a reservoir *candidate* (``x`` counts them). The
+reservoir is a bottom-k sample of the candidates: each vertex has a
+fixed hash priority (:func:`_priority`, keyed by the run's seed), and
+the reservoir holds the ``s`` candidates of smallest priority seen so
+far — a newcomer enters when there is room or when its priority is
+below the largest member's, which it then evicts. At every prefix of
+the stream the members are a uniform ``s``-subset of the candidates and
+evolve as a reservoir's do (Vitter, TOMS 1985; Cohen & Kaplan, PODC
+2007), which is all Lemma 3.1 uses. For every vertex in the reservoir
+the next up-to-``d2`` incident edges are collected (the triggering edge
+included, so a vertex of final degree ``deg`` yields
+``min(d2, deg - d1 + 1)`` neighbors). Priorities tie-break by vertex
+id, so the final members are the ``s`` smallest ``(priority, vertex)``
+pairs among the candidates, whatever their order: the distributed
+Algorithm 2 runs this class per partition and merges to the same
+sample.
 
-A micro-batch is processed in two steps. First, a sequential pass over
-only the (rare) candidate rows makes the reservoir decisions in stream
-order, drawing from the RNG exactly as the paper's per-edge loop does.
-Second, one call of the stream-order kernel
-(:func:`repro.core.collect.first_rows`) gives every membership interval
-of the batch its edges: each member takes the first rows of its vertex
-at or after its entry row and, if it was evicted in the batch, before
-its eviction row. Those rows also give the exact peak of the collected
-words inside the batch. Semantics are exactly the paper's per-edge loop
-— batching is an execution detail, and ``tests/test_deg_res_sampling.py``
-checks the batched processor against a per-edge reference.
+A micro-batch is processed in two steps. First, the reservoir
+decisions: candidates fill free slots in stream order, then one
+vectorised comparison drops every later candidate whose priority is
+above the largest member's, and a loop over the rest replaces the
+largest member (kept on a heap) in stream order. Second, one call of the
+stream-order kernel (:func:`repro.core.collect.first_rows`) gives every
+membership interval of the batch its edges: each member takes the first
+rows of its vertex at or after its entry row and, if it was evicted in
+the batch, before its eviction row. Those rows also give the exact peak
+of the collected words inside the batch. Semantics are exactly the
+per-edge loop's — batching is an execution detail, and
+``tests/test_deg_res_sampling.py`` checks the batched processor against
+a per-edge reference.
 
 Each member's witnesses are stored as one machine-word ``array('q')``;
 :attr:`DegResSampling.collected` is a read-only dict-of-lists view.
 """
 from __future__ import annotations
 
+import heapq
 from array import array
 from collections.abc import Iterator, Mapping
 from typing import Optional
@@ -33,6 +46,26 @@ import numpy as np
 import pandas as pd
 
 from repro.core.collect import first_rows, running_rank
+
+_SPLITMIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_C2 = np.uint64(0x94D049BB133111EB)
+_SHIFTS = tuple(np.uint64(k) for k in (30, 27, 31, 11))
+
+
+def _priority(seed: int, v: np.ndarray) -> np.ndarray:
+    """Deterministic uniform [0, 1) priority per (seed, vertex id array).
+
+    splitmix64 finaliser — the same on every machine and partition,
+    which is what makes a bottom-k merge over partitions exact. Array
+    arithmetic on uint64 wraps silently, which is the mix.
+    """
+    s30, s27, s31, s11 = _SHIFTS
+    key = (0x9E3779B97F4A7C15 + seed * 0xD1B54A32D192ED03) % (1 << 64)
+    z = np.asarray(v, dtype=np.uint64) + np.uint64(key)
+    z = (z ^ (z >> s30)) * _SPLITMIX_C1
+    z = (z ^ (z >> s27)) * _SPLITMIX_C2
+    z ^= z >> s31
+    return (z >> s11).astype(np.float64) / float(1 << 53)
 
 
 class WitnessView(Mapping):
@@ -62,7 +95,8 @@ class DegResSampling:
     d1 : degree threshold at which a vertex becomes a candidate.
     d2 : number of incident edges to collect per sampled vertex.
     s : reservoir size.
-    seed : RNG seed (``Coin(s/x)`` and evictions).
+    seed : keys the candidates' priorities and seeds the RNG of the
+        :meth:`result` draw.
     shared_degrees : optional externally-maintained degree array; when
         given, this run neither stores nor updates degrees itself
         (Algorithm 2 shares one degree array across its ``c`` runs) and
@@ -84,14 +118,19 @@ class DegResSampling:
         self.d1 = d1
         self.d2 = d2
         self.s = s
+        self.seed = seed
         self.rng = np.random.default_rng(seed)
         self._own_deg = shared_degrees is None
         self.deg = np.zeros(n, dtype=np.int32) if self._own_deg else shared_degrees
         self.x = 0  # candidates seen so far (paper's x)
-        # Reservoir slot j (j < _occ) holds vertex _slots[j], the
-        # _entry[j]-th candidate, whose witnesses are _wit[j] and number
-        # _lens[j]. The slot arrays grow with the occupancy, up to s.
+        # Reservoir slot j (j < _occ) holds vertex _slots[j] of priority
+        # _prio[j], the _entry[j]-th candidate, whose witnesses are
+        # _wit[j] and number _lens[j]. The slot arrays grow with the
+        # occupancy, up to s. A priority is a hash of the vertex id, so
+        # _prio caches what the algorithm can recompute and is not
+        # charged in space_words().
         self._slots = np.zeros(0, dtype=np.int64)
+        self._prio = np.zeros(0, dtype=np.float64)
         self._entry = np.zeros(0, dtype=np.int64)
         self._lens = np.zeros(0, dtype=np.int64)
         self._wit: list[array | None] = []
@@ -118,48 +157,21 @@ class DegResSampling:
         ``cand_rows`` are batch row indices where a vertex's running
         degree hits ``d1`` exactly, in stream order.
         """
+        start, gone = self._admit(a, cand_rows) if len(cand_rows) else (None, [])
         occ = self._occ
-        cap = len(self._slots)
-        if occ + len(cand_rows) > cap and cap < self.s:
-            self._grow(min(self.s, max(occ + len(cand_rows), 2 * cap)))
-        slots, entry, lens, wit = self._slots, self._entry, self._lens, self._wit
-        # Entry row of each slot's member if it entered in this batch.
-        start = np.zeros(len(slots), dtype=np.int64)
-        # Members evicted in this batch: vertex, entry row, eviction row,
-        # witnesses held at the start of the batch.
-        gone: list[tuple[int, int, int, int]] = []
-        for i, v in zip(cand_rows.tolist(), a[cand_rows].tolist()):
-            self.x += 1
-            if occ < self.s:
-                k = occ
-                occ += 1
-            elif self.rng.random() < self.s / self.x:
-                k = int(self.rng.integers(occ))
-                gone.append((int(slots[k]), int(start[k]), i, int(lens[k])))
-                # Move the last slot into the hole and append the new
-                # member, as a list-backed reservoir does.
-                last = occ - 1
-                slots[k], entry[k], lens[k], start[k] = (
-                    slots[last], entry[last], lens[last], start[last])
-                wit[k] = wit[last]
-                k = last
-            else:
-                continue
-            slots[k], entry[k], lens[k], start[k] = v, self.x, 0, i
-            wit[k] = array("q")
-        self._occ = occ
         if occ == 0:
             return
+        slots, lens, wit = self._slots, self._lens, self._wit
 
         # Every membership interval of the batch gets its rows: current
         # members up to the batch end, evicted ones up to their eviction.
         n_rows = len(a)
-        keys, need, lo, hi = slots[:occ], self.d2 - lens[:occ], start[:occ], n_rows
+        keys, need, lo, hi = slots[:occ], self.d2 - lens[:occ], start, None
         if gone:
             g_v, g_lo, g_hi, g_held = (np.array(col, dtype=np.int64) for col in zip(*gone))
             keys = np.concatenate([keys, g_v])
             need = np.concatenate([need, self.d2 - g_held])
-            lo = np.concatenate([lo, g_lo])
+            lo = np.concatenate([start, g_lo])
             hi = np.concatenate([np.full(occ, n_rows), g_hi])
         rows, counts = first_rows(a, keys, need, lo, hi)
         if len(rows) == 0 and not gone:
@@ -183,12 +195,67 @@ class DegResSampling:
         for j, c, e in zip(touched.tolist(), kept[touched].tolist(), ends[touched].tolist()):
             wit[j].frombytes(got[8 * (e - c) : 8 * e])
 
+    def _admit(
+        self, a: np.ndarray, cand_rows: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+        """The reservoir decisions for a batch's candidates, in stream order.
+
+        Returns each occupied slot's entry row in this batch (0 if its
+        member entered earlier) and the members evicted in this batch as
+        ``(vertex, entry row, eviction row, witnesses held at the start
+        of the batch)``.
+        """
+        cand_v = a[cand_rows].astype(np.int64)
+        cand_p = _priority(self.seed, cand_v)
+        x0 = self.x
+        self.x += len(cand_rows)
+        occ = self._occ
+        fill = min(self.s - occ, len(cand_rows))
+        if occ + fill > len(self._slots):
+            self._grow(min(self.s, max(occ + fill, 2 * len(self._slots))))
+        slots, prio, entry, lens, wit = self._slots, self._prio, self._entry, self._lens, self._wit
+        start = np.zeros(occ + fill, dtype=np.int64)
+        if fill:  # the first candidates take the free slots
+            new = slice(occ, occ + fill)
+            slots[new], prio[new], lens[new] = cand_v[:fill], cand_p[:fill], 0
+            entry[new] = x0 + 1 + np.arange(fill)
+            start[new] = cand_rows[:fill]
+            wit[new] = [array("q") for _ in range(fill)]
+            occ = self._occ = occ + fill
+        if fill == len(cand_rows):
+            return start, []
+        # The largest priority only falls, so a later candidate above it
+        # now can never enter; ties go to the loop's comparison.
+        late = fill + np.flatnonzero(cand_p[fill:] <= prio[:occ].max())
+        if len(late) == 0:
+            return start, []
+        # At most len(late) members are evicted, each a newcomer or among
+        # the len(late) largest now, so only those (ties at the cut
+        # included) go on the heap that yields the largest member.
+        k = min(len(late), occ)
+        cut = np.partition(prio[:occ], occ - k)[occ - k]
+        top = np.flatnonzero(prio[:occ] >= cut)
+        heap = list(zip((-prio[top]).tolist(), (-slots[top]).tolist(), top.tolist()))
+        heapq.heapify(heap)
+        gone = []
+        for t, i, v, p in zip(late.tolist(), cand_rows[late].tolist(),
+                              cand_v[late].tolist(), cand_p[late].tolist()):
+            neg_p, neg_v, j = heap[0]
+            if (p, v) >= (-neg_p, -neg_v):
+                continue
+            gone.append((-neg_v, int(start[j]), i, int(lens[j])))
+            heapq.heapreplace(heap, (-p, -v, j))
+            slots[j], prio[j], entry[j], lens[j], start[j] = v, p, x0 + 1 + t, 0, i
+            wit[j] = array("q")
+        return start, gone
+
     def _grow(self, cap: int) -> None:
         """Widen the slot arrays to ``cap`` slots."""
-        pad = np.zeros(cap - len(self._slots), dtype=np.int64)
-        self._slots, self._entry, self._lens = (
-            np.concatenate([col, pad]) for col in (self._slots, self._entry, self._lens))
-        self._wit.extend([None] * len(pad))
+        extra = cap - len(self._slots)
+        self._slots, self._prio, self._entry, self._lens = (
+            np.concatenate([col, np.zeros(extra, dtype=col.dtype)])
+            for col in (self._slots, self._prio, self._entry, self._lens))
+        self._wit.extend([None] * extra)
 
     # ------------------------------------------------------------------ #
 

@@ -5,30 +5,28 @@ parallel over one shared degree array, with ``s = ceil(n^{1/c} ln n)``
 (Theorem 3.2). If the input contains an A-vertex of degree ``>= d``, at
 least one run finds a neighborhood of size ``d/c`` w.p. ``>= 1 - 1/n``.
 
-Two execution modes:
+Two execution modes, one reservoir (:class:`DegResSampling`, a bottom-k
+sample under per-vertex hash priorities):
 
-- :class:`InsertionOnlyND` — the sequential reference processor
-  (``repro.streamsim.runner.StreamProcessor``), semantics exactly the
-  paper's. Per micro-batch it finds each run's candidate rows from the
-  shared degrees and every row's rank among its vertex's rows
+- :class:`InsertionOnlyND` — the sequential processor
+  (``repro.streamsim.runner.StreamProcessor``). Per micro-batch it finds
+  each run's candidate rows from the shared degrees and every row's
+  rank among its vertex's rows
   (:func:`repro.core.collect.running_rank`), then lets each run ingest
   the batch.
 - :func:`run_distributed` — a Spark variant: the stream is hash-
   partitioned on the A-vertex (Catalyst), so each partition sees all of
-  a vertex's edges and its degrees are exact. Each partition keeps a
-  *priority-based bottom-k* sample per run (deterministic per-vertex
-  priorities): the ``s`` candidates of smallest priority, each of which
-  collects its first ``d/c`` edges from its candidate edge on through
-  the same stream-order kernel as the sequential runs
-  (:func:`repro.core.collect.first_rows`). The driver merges by taking
-  the global ``s`` smallest priorities per run. Bottom-k over disjoint
-  candidate sets is distribution-identical to sequential reservoir
-  sampling, and a vertex in the global bottom-k was in its partition's
-  bottom-k from its candidate edge onward, so collection semantics match
-  the sequential algorithm edge-for-edge.
+  a vertex's edges and its degrees are exact. Each partition runs
+  :class:`InsertionOnlyND` over its edges as one batch, and the driver
+  keeps, per run, the ``s`` members of smallest priority over all
+  partitions. A vertex in that global bottom-``s`` is in its
+  partition's bottom-``s`` from its candidate edge on, and collects the
+  same edges there, so for the same seed the merged sample and its
+  witnesses are the sequential processor's.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -36,8 +34,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.collect import first_rows, running_rank
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.collect import running_rank
+from repro.core.deg_res_sampling import DegResSampling, _priority
 from repro.space import reservoir_size
 
 
@@ -76,7 +74,10 @@ class InsertionOnlyND:
         new_deg = self.deg[a] + running_rank(a) + 1
         for run in self.runs:
             run.ingest(a, b, np.flatnonzero(new_deg == run.d1))
-        np.add.at(self.deg, a, 1)
+        # Distinct vertices plus counts: a third of np.add.at's time on a
+        # 1,024-edge batch.
+        v, k = np.unique(a, return_counts=True)
+        self.deg[v] += k
 
     def result(self) -> Optional[tuple[int, set[int]]]:
         """Uniform random neighborhood among the successful runs'."""
@@ -96,59 +97,30 @@ class InsertionOnlyND:
 # Distributed variant
 # ---------------------------------------------------------------------- #
 
-_SPLITMIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
-_SPLITMIX_C2 = np.uint64(0x94D049BB133111EB)
-
-
-def _priority(seed: int, run: int, v: np.ndarray) -> np.ndarray:
-    """Deterministic uniform(0,1) priority per (seed, run, vertex).
-
-    splitmix64 finaliser — identical on every partition, which is what
-    makes the bottom-k merge exact.
-    """
-    with np.errstate(over="ignore"):  # wrapping uint64 mul is the mix
-        z = (
-            np.asarray(v, dtype=np.uint64)
-            + np.uint64(run + 1) * np.uint64(0x9E3779B97F4A7C15)
-            + np.uint64(seed) * np.uint64(0xD1B54A32D192ED03)
-        )
-        z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_C1
-        z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_C2
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-
-
 def _partition_pass(
-    pdf: pd.DataFrame, thresholds: list[int], d_c: int, s: int, seed: int
+    pdf: pd.DataFrame, n: int, d: int, c: int, s: int, seed: int
 ) -> pd.DataFrame:
-    """Per-partition bottom-k threshold sampling (runs inside Spark).
+    """Sequential Algorithm 2 over one partition (runs inside Spark).
 
-    Emits one row per collected edge ``(run, v, prio, b)`` plus one
-    bookkeeping row per run ``(run, -1, 0.0, x_partition)`` carrying the
-    partition's candidate count.
+    The partition is one batch: every edge of a vertex lands in it, so
+    its degrees are exact. Emits one row per collected edge
+    ``(run, v, prio, b)`` plus one bookkeeping row per run
+    ``(run, -1, 0.0, x_partition)`` carrying the partition's candidate
+    count.
     """
-    pdf = pdf.sort_values("pos", kind="stable")
-    a = pdf["a"].to_numpy()
-    b = pdf["b"].to_numpy()
-    # Degrees are exact per partition: every edge of a vertex lands here.
-    new_deg = running_rank(a) + 1
+    proc = InsertionOnlyND(n, d, c, seed=seed, s=s)
+    proc.process_batch(pdf.sort_values("pos", kind="stable"))
     parts = []
-    for run_i, d1 in enumerate(thresholds):
-        cand_rows = np.flatnonzero(new_deg == d1)
-        prios = _priority(seed, run_i, a[cand_rows])
-        # A candidate stays in the bottom-k sample from its candidate
-        # edge until s candidates of smaller priority have arrived, and
-        # then never returns; so the members at the end of the stream
-        # are the s smallest priorities (earliest first among ties), and
-        # only they emit edges.
-        keep = np.argsort(prios, kind="stable")[:s]
-        members = a[cand_rows[keep]]
-        rows, counts = first_rows(a, members, d_c, cand_rows[keep])
+    for run_i, run in enumerate(proc.runs):
+        coll = run.collected
+        members = np.fromiter(coll, dtype=np.int64, count=len(coll))
+        wit = list(coll.values())
+        counts = [len(w) for w in wit]
         parts.append(pd.DataFrame({
             "run": run_i,
             "v": np.append(np.repeat(members, counts), -1),
-            "prio": np.append(np.repeat(prios[keep], counts), 0.0),
-            "b": np.append(b[rows], len(cand_rows)),
+            "prio": np.append(np.repeat(_priority(run.seed, members), counts), 0.0),
+            "b": np.append(np.fromiter(chain.from_iterable(wit), np.int64, sum(counts)), run.x),
         }))
     return pd.concat(parts, ignore_index=True).astype(
         {"run": "int32", "v": "int64", "prio": "float64", "b": "int64"}
@@ -171,14 +143,13 @@ def run_distributed(
     coordinated deployment holds: n degree words + per-run reservoir and
     collected edges after the merge.
     """
-    thresholds = run_thresholds(d, c)
     d_c = max(1, d // c)
     s = reservoir_size(n, c) if s is None else s
     parts = (
         df.withColumn("pid", F.pmod(F.col("a"), F.lit(num_partitions)))
         .groupBy("pid")
         .applyInPandas(
-            lambda pdf: _partition_pass(pdf, thresholds, d_c, s, seed),
+            lambda pdf: _partition_pass(pdf, n, d, c, s, seed),
             schema="run int, v long, prio double, b long",
         )
         .toPandas()
@@ -191,8 +162,9 @@ def run_distributed(
         sub = parts[parts["run"] == run_i]
         x_total = int(sub.loc[sub["v"] == -1, "b"].sum())
         edges = sub[sub["v"] >= 0]
+        # The reservoir's order: priority, ties by vertex id.
         cand = (
-            edges[["v", "prio"]].drop_duplicates().sort_values("prio").head(s)
+            edges[["v", "prio"]].drop_duplicates().sort_values(["prio", "v"]).head(s)
         )
         keep = set(int(v) for v in cand["v"].tolist())
         nbrs = {

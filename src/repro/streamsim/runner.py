@@ -10,7 +10,7 @@ reductions do: "send the resulting memory state to the next party").
 from __future__ import annotations
 
 import pickle
-from typing import Optional, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -64,8 +64,3 @@ def restore(blob: bytes) -> StreamProcessor:
     """Resume a processor from a serialized memory state."""
     return pickle.loads(blob)
 
-
-def neighborhood_or_none(proc) -> Optional[tuple[int, set[int]]]:
-    """Uniform accessor: processors expose ``result() -> (a, set_of_b)``."""
-    res = proc.result()
-    return res

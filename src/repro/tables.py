@@ -4,7 +4,7 @@ The paper is a theory paper (no measured tables), so each table here
 validates one of its quantitative claims: the function returns a pandas
 DataFrame whose rows place the paper's predicted quantity (bound
 formula evaluated at the experiment's parameters) next to the measured
-value. ``jobs/tableN_*.py`` print these; ``benchmarks/bench_tableN.py``
+value. ``jobs/run_table.py N`` prints these; ``benchmarks/bench_tableN.py``
 time them; EXPERIMENTS.md records representative output.
 """
 from __future__ import annotations
@@ -26,11 +26,23 @@ from repro.core.l0_sampler import L0SamplerBank
 from repro.core.misra_gries import MisraGriesWitness
 from repro.core.star_detection import StarDetection
 from repro.streamsim.runner import run_stream, run_stream_pandas
+from repro.streamsim.stream import final_graph
 
 
 # ---------------------------------------------------------------------- #
 # Table 1 — insertion-only space & approximation vs c (Theorem 3.2)
 # ---------------------------------------------------------------------- #
+
+def valid_output(graph: pd.DataFrame, res: tuple[int, set[int]] | None, d_c: int) -> bool:
+    """Whether a reported neighborhood holds in the stream's final graph:
+    at least ``d_c`` distinct witnesses, every one a neighbour of the
+    reported vertex. No output (a failure) is not an invalid one."""
+    if res is None:
+        return True
+    v, witnesses = res
+    nbrs = set(graph.loc[graph["a"] == v, "b"].tolist())
+    return len(set(witnesses)) >= d_c and set(witnesses) <= nbrs
+
 
 def table1(
     spark: SparkSession,
@@ -41,16 +53,16 @@ def table1(
     seed: int = 0,
     batch_size: int = 65536,
 ) -> pd.DataFrame:
-    df, info = synth_data.planted_star_stream(
-        spark, n=n, m=4 * n, d=d, avg_deg=avg_deg, order="random", seed=seed
+    pdf, _ = synth_data.planted_star_pandas(
+        n=n, m=4 * n, d=d, avg_deg=avg_deg, order="random", seed=seed
     )
-    heavy_v, heavy_nbrs = next(iter(info["heavy"].items()))
+    df, graph = spark.createDataFrame(pdf), final_graph(pdf)
     rows = []
     for c in cs:
         proc = run_stream(InsertionOnlyND(n, d, c, seed=seed + c), df, batch_size)
         res = proc.result()
         out_size = len(res[1]) if res else 0
-        valid = res is None or (res[0] == heavy_v and res[1] <= heavy_nbrs) or res[0] != heavy_v
+        valid = valid_output(graph, res, max(1, d // c))
         rows.append(
             {
                 "c": c,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, _priority
 from repro.streamsim.runner import run_stream_pandas
 
 
@@ -177,22 +177,27 @@ def test_shared_degree_mode_does_not_own_degrees():
 # ---------------------------------------------------------------------- #
 
 class PerEdgeAlg1:
-    """Algorithm 1 one edge at a time, as the paper writes it.
+    """Algorithm 1 one edge at a time, with the reservoir as a bottom-k
+    sample under the seeded vertex priorities.
 
-    The reservoir is a list; an eviction moves the last member into the
-    evicted one's place and appends the newcomer, and the RNG is drawn
-    in the same order as the batched processor draws it. ``peak`` is the
-    largest number of collected witnesses after any edge.
+    The reservoir is a list; a candidate enters while it has room, and
+    otherwise replaces the member of largest ``(priority, vertex)`` in
+    place if its own pair is smaller. The RNG is drawn only by
+    ``result()``. ``peak`` is the largest number of collected witnesses
+    after any edge.
     """
 
     def __init__(self, n, d1, d2, s, seed):
-        self.n, self.d1, self.d2, self.s = n, d1, d2, s
+        self.n, self.d1, self.d2, self.s, self.seed = n, d1, d2, s, seed
         self.rng = np.random.default_rng(seed)
         self.deg = [0] * n
         self.x = 0
         self.res = []
         self.coll = {}
         self.peak = 0
+
+    def key(self, v):
+        return float(_priority(self.seed, np.array([v]))[0]), v
 
     def edge(self, a, b):
         self.deg[a] += 1
@@ -201,14 +206,12 @@ class PerEdgeAlg1:
             if len(self.res) < self.s:
                 self.res.append(a)
                 self.coll[a] = []
-            elif self.rng.random() < self.s / self.x:  # Coin(s/x)
-                k = int(self.rng.integers(len(self.res)))
-                out = self.res[k]
-                self.res[k] = self.res[-1]
-                self.res.pop()
-                del self.coll[out]
-                self.res.append(a)
-                self.coll[a] = []
+            else:
+                k = max(range(len(self.res)), key=lambda j: self.key(self.res[j]))
+                if self.key(a) < self.key(self.res[k]):
+                    del self.coll[self.res[k]]
+                    self.res[k] = a
+                    self.coll[a] = []
         if a in self.coll and len(self.coll[a]) < self.d2:
             self.coll[a].append(b)
         self.peak = max(self.peak, sum(len(w) for w in self.coll.values()))

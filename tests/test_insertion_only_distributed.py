@@ -4,8 +4,11 @@ import pandas as pd
 import pytest
 
 from repro import synth_data
-from repro.core.insertion_only import _partition_pass, _priority, run_distributed
+from repro.core.deg_res_sampling import _priority
+from repro.core.insertion_only import InsertionOnlyND, _partition_pass, run_distributed
 from repro.space import reservoir_size
+from repro.streamsim.runner import run_stream_pandas
+from tests.test_deg_res_sampling import PerEdgeAlg1
 
 
 @pytest.fixture(scope="module")
@@ -19,14 +22,14 @@ def instance(spark):
 
 def test_priority_deterministic_and_uniformish():
     v = np.arange(10_000)
-    p1 = _priority(3, 1, v)
-    p2 = _priority(3, 1, v)
+    p1 = _priority(3, v)
+    p2 = _priority(3, v)
     assert (p1 == p2).all()
     assert 0.45 < p1.mean() < 0.55
     assert (p1 >= 0).all() and (p1 < 1).all()
-    # different run/seed decorrelates
-    assert not np.allclose(p1, _priority(3, 2, v))
-    assert not np.allclose(p1, _priority(4, 1, v))
+    # different seeds decorrelate (run i of seed t has seed 1000 t + i)
+    assert not np.allclose(p1, _priority(1003, v))
+    assert not np.allclose(p1, _priority(4, v))
 
 
 @pytest.mark.parametrize("c", [2, 4])
@@ -82,29 +85,29 @@ def test_distributed_collections_match_thresholds(instance):
         assert len(bs) <= d1
 
 
-def partition_pass_loop(pdf, thresholds, d_c, s, seed):
-    """One partition, edge by edge: per run a bottom-k sample that
-    replaces its largest priority when a smaller one arrives, each member
-    collecting up to d_c edges from its candidate edge on."""
+@pytest.mark.parametrize("num_partitions", [1, 2, 8])
+def test_distributed_equals_sequential(instance, num_partitions):
+    """Both modes run the same bottom-k reservoir, so for one seed and s
+    each run's x, members and witnesses are the sequential processor's."""
+    df, info, n, d = instance
+    seq = run_stream_pandas(InsertionOnlyND(n, d, 4, seed=17, s=8), df.toPandas(), 128)
+    out = run_distributed(df, n, d, 4, seed=17, num_partitions=num_partitions, s=8)
+    for i, run in enumerate(seq.runs):
+        got = out["per_run"][i]
+        assert got["x"] == run.x
+        assert got["members"] == {v: set(ws) for v, ws in run.collected.items()}
+
+
+def partition_pass_loop(pdf, n, d, c, s, seed):
+    """One partition, edge by edge: each run of Algorithm 2 as the
+    per-edge bottom-k reference, emitting every member's witnesses."""
     rows = set()
-    for run_i, d1 in enumerate(thresholds):
-        deg, members, x = {}, {}, 0  # members: v -> (prio, witnesses)
-        for a, b in zip(pdf["a"], pdf["b"]):
-            deg[a] = deg.get(a, 0) + 1
-            if deg[a] == d1:
-                x += 1
-                p = float(_priority(seed, run_i, np.array([a]))[0])
-                if len(members) < s:
-                    members[a] = (p, [])
-                else:
-                    worst = max(members, key=lambda v: members[v][0])
-                    if p < members[worst][0]:
-                        del members[worst]
-                        members[a] = (p, [])
-            if a in members and len(members[a][1]) < d_c:
-                members[a][1].append(b)
-        rows |= {(run_i, v, p, b) for v, (p, bs) in members.items() for b in bs}
-        rows.add((run_i, -1, 0.0, x))
+    for run_i, run in enumerate(InsertionOnlyND(n, d, c, seed=seed, s=s).runs):
+        ref = PerEdgeAlg1(n, run.d1, run.d2, s, run.seed)
+        for a, b in zip(pdf["a"].tolist(), pdf["b"].tolist()):
+            ref.edge(a, b)
+        rows |= {(run_i, v, ref.key(v)[0], b) for v, bs in ref.coll.items() for b in bs}
+        rows.add((run_i, -1, 0.0, ref.x))
     return rows
 
 
@@ -115,7 +118,8 @@ def test_partition_pass_matches_edge_loop(seed):
     s = int(g.integers(1, 8))
     pdf = pd.DataFrame({"pos": g.permutation(m), "a": g.integers(0, 40, m),
                         "b": np.arange(m), "op": 1})
-    out = _partition_pass(pdf, [1, 3, 5], d_c=4, s=s, seed=seed)
+    # d = 12, c = 3: thresholds 1, 4, 8 and d/c = 4 witnesses per member
+    out = _partition_pass(pdf, 40, 12, 3, s=s, seed=seed)
     got = set(zip(out["run"], out["v"], out["prio"], out["b"]))
     assert len(got) == len(out)
-    assert got == partition_pass_loop(pdf.sort_values("pos"), [1, 3, 5], 4, s, seed)
+    assert got == partition_pass_loop(pdf.sort_values("pos"), 40, 12, 3, s, seed)

@@ -1,8 +1,10 @@
 """Integration: every table harness runs at reduced scale and its rows
 exhibit the paper's qualitative shape (who wins, how things scale)."""
+import pandas as pd
 import pytest
 
 from repro import tables
+from repro.streamsim.stream import final_graph
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +16,17 @@ def test_table1_success_and_validity(t1):
     assert t1["success"].all()
     assert (t1["out_size"] >= t1["required_d_over_c"]).all()
     assert t1["valid_output"].all()
+
+
+def test_valid_output_checks_non_planted_vertex():
+    """Vertex 0 is the planted one. Vertex 1 reported with a witness that
+    is not its neighbour, or with fewer than d/c witnesses, is invalid."""
+    pdf = pd.DataFrame({"pos": range(5), "a": [0, 0, 0, 1, 1], "b": [1, 2, 3, 4, 5], "op": 1})
+    graph = final_graph(pdf)
+    assert tables.valid_output(graph, (1, {4, 5}), 2)
+    assert not tables.valid_output(graph, (1, {4, 9}), 2)
+    assert not tables.valid_output(graph, (1, {4}), 2)
+    assert tables.valid_output(graph, None, 2)
 
 
 def test_table1_space_shape(t1):
