@@ -57,7 +57,6 @@ class InsertionDeletionND:
         n_sampled = min(n, math.ceil(c0_vertex * self.x * ln_n))
         self.sampled_vertices = np.sort(rng.choice(n, size=n_sampled, replace=False))
         self.k_v = max(1, math.ceil(c0_per_vertex * (d / c) * ln_n))
-        self._v_row = {int(v): i for i, v in enumerate(self.sampled_vertices)}
         self.vertex_bank = L0SamplerBank(n_sampled * self.k_v, dim=m, seed=seed + 1)
         self.k_e = max(
             1,
@@ -72,33 +71,28 @@ class InsertionDeletionND:
         b = batch["b"].to_numpy(np.int64)
         op = batch["op"].to_numpy(np.int64)
         self.edge_bank.update(a * self.m + b, op)
-        mask = np.isin(a, self.sampled_vertices)
-        if mask.any():
-            sub = pd.DataFrame({"a": a[mask], "b": b[mask], "op": op[mask]})
-            for v, grp in sub.groupby("a", sort=False):
-                r0 = self._v_row[int(v)] * self.k_v
-                self.vertex_bank.update(
-                    grp["b"].to_numpy(np.int64),
-                    grp["op"].to_numpy(np.int64),
-                    rows=slice(r0, r0 + self.k_v),
-                )
+        # each sampled vertex owns k_v consecutive samplers of the vertex bank
+        slot = np.searchsorted(self.sampled_vertices, a)
+        hit = self.sampled_vertices[np.minimum(slot, len(self.sampled_vertices) - 1)] == a
+        self.vertex_bank.update_blocks(b[hit], op[hit], slot[hit] * self.k_v, self.k_v)
 
     # ------------------------------------------------------------------ #
 
+    def vertex_neighborhoods(self) -> dict[int, set[int]]:
+        """Distinct edges the vertex-sampling strategy recovered, by A-vertex."""
+        nbrs: dict[int, set[int]] = {}
+        rec = self.vertex_bank.sample_all()
+        slot = np.flatnonzero(rec >= 0)
+        for v, coord in zip(self.sampled_vertices[slot // self.k_v].tolist(), rec[slot].tolist()):
+            nbrs.setdefault(v, set()).add(coord)
+        return nbrs
+
     def recovered_neighborhoods(self) -> dict[int, set[int]]:
         """Distinct recovered edges grouped by A-vertex, both strategies."""
-        nbrs: dict[int, set[int]] = {}
-        rec_v = self.vertex_bank.sample_all()
-        for slot, coord in enumerate(rec_v):
-            if coord < 0:
-                continue
-            v = int(self.sampled_vertices[slot // self.k_v])
-            nbrs.setdefault(v, set()).add(int(coord))
-        rec_e = self.edge_bank.sample_all()
-        for coord in rec_e:
-            if coord < 0:
-                continue
-            nbrs.setdefault(int(coord // self.m), set()).add(int(coord % self.m))
+        nbrs = self.vertex_neighborhoods()
+        rec = self.edge_bank.sample_all()
+        for coord in rec[rec >= 0].tolist():
+            nbrs.setdefault(coord // self.m, set()).add(coord % self.m)
         return nbrs
 
     def result(self) -> Optional[tuple[int, set[int]]]:

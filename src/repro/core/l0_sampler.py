@@ -19,10 +19,12 @@ that is what lets Spark partitions build partial sketches independently
 (:func:`sketch_stream_spark`) with the driver summing them, and what
 makes deletions free.
 
-``L0SamplerBank`` vectorises ``num`` independent samplers as
-``(num, L)`` numpy accumulators; contributions are bucketed at the
-assigned level and suffix-summed at query time (a coordinate at level
-``G`` belongs to all levels ``<= G``).
+``L0SamplerBank`` vectorises ``num`` independent samplers as ``(num, L)``
+int64 cells ``S0, S1, S2``; contributions are bucketed at the assigned
+level and suffix-summed at query time (a coordinate at level ``G``
+belongs to all levels ``<= G``). One kernel adds them in exact integer
+arithmetic, for a slice of the bank (``update``) or a block of ``k``
+samplers per update (``update_blocks``), so no batch size changes a bank.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from pyspark.sql import DataFrame
 
 _P = (1 << 31) - 1  # hash modulus (Mersenne prime)
 _Q = (1 << 31) - 1  # fingerprint field
+_CHUNK_CELLS = 4_000_000  # (update, sampler) cells hashed per chunk
 
 
 def _fingerprint(a2: np.ndarray, b2: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -81,47 +84,53 @@ class L0SamplerBank:
         self,
         idx: np.ndarray,
         delta: np.ndarray | int = 1,
-        rows: slice | np.ndarray | None = None,
-        chunk_cells: int = 4_000_000,
+        rows: slice | None = None,
+        chunk_cells: int = _CHUNK_CELLS,
     ) -> None:
         """Apply ``vec[idx] += delta`` to the samplers in ``rows`` (all by
-        default). Vectorised and chunked over samplers."""
+        default, else a slice of the bank)."""
+        samplers = np.arange(self.num, dtype=np.int64)[slice(None) if rows is None else rows]
+        self._accumulate(idx, delta, None, samplers, chunk_cells)
+
+    def update_blocks(
+        self, idx: np.ndarray, delta: np.ndarray | int, first: np.ndarray, k: int
+    ) -> None:
+        """Apply ``vec[idx[i]] += delta[i]`` to samplers ``first[i]`` to
+        ``first[i] + k - 1`` only: one block of ``k`` samplers per update."""
+        first = np.asarray(first, dtype=np.int64)
+        if first.size and (first.min() < 0 or first.max() + k > self.num):
+            raise ValueError("sampler block out of range")
+        self._accumulate(idx, delta, first, np.arange(k, dtype=np.int64), _CHUNK_CELLS)
+
+    def _accumulate(self, idx, delta, first: np.ndarray | None, offsets: np.ndarray,
+                    chunk_cells: int) -> None:
+        """Add update ``i`` to samplers ``first[i] + offsets``, or to
+        ``offsets`` when ``first`` is None (hash keys then broadcast over
+        updates instead of being gathered per cell): hash each (update,
+        sampler) cell to its level and fingerprint, sum into ``S0/S1/S2``
+        in exact int64, about ``chunk_cells`` cells per chunk of updates."""
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             return
-        if np.isscalar(delta):
-            delta = np.full(idx.shape, delta, dtype=np.int64)
-        else:
-            delta = np.asarray(delta, dtype=np.int64)
         if (idx < 0).any() or (idx >= self.dim).any():
             raise ValueError("coordinate out of range")
-        row_ids = (
-            np.arange(self.num, dtype=np.int64)
-            if rows is None
-            else np.arange(self.num, dtype=np.int64)[rows]
-        )
-        E = idx.size
-        step = max(1, chunk_cells // max(E, 1))
-        for lo in range(0, row_ids.size, step):
-            r = row_ids[lo : lo + step]
-            nc = r.size
-            h = (self.a1[r][:, None] * idx[None, :] + self.b1[r][:, None]) % _P
-            u = (h.astype(np.float64) + 0.5) / _P
-            G = np.minimum(self.L - 1, np.floor(-np.log2(u)).astype(np.int64))
-            gfp = _fingerprint(self.a2[r][:, None], self.b2[r][:, None], idx[None, :])
-            flat = (np.arange(nc, dtype=np.int64)[:, None] * self.L + G).ravel()
-            minlen = nc * self.L
-            d_b = np.broadcast_to(delta[None, :], (nc, E)).ravel().astype(np.float64)
-            w1 = np.broadcast_to((delta * idx)[None, :], (nc, E)).ravel().astype(
-                np.float64
-            )
-            w2 = (delta[None, :] * gfp).ravel().astype(np.float64)
-            c0 = np.bincount(flat, weights=d_b, minlength=minlen).astype(np.int64)
-            c1 = np.bincount(flat, weights=w1, minlength=minlen).astype(np.int64)
-            c2 = np.bincount(flat, weights=w2, minlength=minlen).astype(np.int64)
-            self.S0[r] += c0.reshape(nc, self.L)
-            self.S1[r] += c1.reshape(nc, self.L)
-            self.S2[r] = (self.S2[r] + c2.reshape(nc, self.L)) % _Q
+        delta = np.broadcast_to(np.asarray(delta, dtype=np.int64), idx.shape)
+        s0, s1, s2 = self.S0.reshape(-1), self.S1.reshape(-1), self.S2.reshape(-1)
+        step = max(1, chunk_cells // max(offsets.size, 1))
+        for lo in range(0, idx.size, step):
+            i = idx[lo : lo + step, None]
+            d = delta[lo : lo + step, None]
+            r = offsets if first is None else first[lo : lo + step, None] + offsets
+            h = (self.a1[r] * i + self.b1[r]) % _P
+            G = np.minimum(self.L - 1, np.floor(-np.log2((h + 0.5) / _P)).astype(np.int64))
+            cell = (r * self.L + G).ravel()
+            np.add.at(s0, cell, np.broadcast_to(d, G.shape).ravel())
+            np.add.at(s1, cell, np.broadcast_to(d * i, G.shape).ravel())
+            # Terms reduced mod q stay below 2^31, so a cell's sum stays
+            # exact in int64 for any batch under 2^32 updates.
+            fp = _fingerprint(self.a2[r], self.b2[r], i)
+            np.add.at(s2, cell, (d % _Q * fp % _Q).ravel())
+        np.remainder(self.S2, _Q, out=self.S2)
 
     # ------------------------------------------------------------------ #
 

@@ -50,13 +50,9 @@ def run_stream_pandas(
     return proc
 
 
-def state_size_bytes(proc: StreamProcessor) -> int:
-    """Serialized memory-state size — the message length in a reduction."""
-    return len(pickle.dumps(proc, protocol=pickle.HIGHEST_PROTOCOL))
-
-
 def checkpoint(proc: StreamProcessor) -> bytes:
-    """Serialize a processor so another party can resume it."""
+    """Serialize a processor so another party can resume it; the length is
+    the message size in a reduction."""
     return pickle.dumps(proc, protocol=pickle.HIGHEST_PROTOCOL)
 
 

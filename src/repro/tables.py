@@ -4,8 +4,8 @@ The paper is a theory paper (no measured tables), so each table here
 validates one of its quantitative claims: the function returns a pandas
 DataFrame whose rows place the paper's predicted quantity (bound
 formula evaluated at the experiment's parameters) next to the measured
-value. ``jobs/run_table.py N`` prints these; ``benchmarks/bench_tableN.py``
-time them; EXPERIMENTS.md records representative output.
+value. ``jobs/run_table.py N`` prints these; ``benchmarks/bench_tables.py``
+times them; EXPERIMENTS.md records representative output.
 """
 from __future__ import annotations
 
@@ -148,18 +148,16 @@ def table3(
         pdf, info = synth_data.turnstile_star_pandas(
             n=n, m=m, d=d, n_heavy=n_heavy, avg_deg=3.0, churn=0.5, seed=seed
         )
+        graph = final_graph(pdf)
         for c in cs:
             proc = run_stream_pandas(
                 InsertionDeletionND(n, m, d, c, seed=seed + c), pdf
             )
             res = proc.result()
             # attribute success to the strategy whose bank recovered it
-            v_only = {}
-            for slot, coord in enumerate(proc.vertex_bank.sample_all()):
-                if coord >= 0:
-                    v = int(proc.sampled_vertices[slot // proc.k_v])
-                    v_only.setdefault(v, set()).add(int(coord))
-            vertex_ok = any(len(s) >= proc.d_c for s in v_only.values())
+            vertex_ok = any(
+                len(s) >= proc.d_c for s in proc.vertex_neighborhoods().values()
+            )
             rows.append(
                 {
                     "scenario": scen,
@@ -168,6 +166,7 @@ def table3(
                     "success": res is not None,
                     "out_size": len(res[1]) if res else 0,
                     "required_d_over_c": proc.d_c,
+                    "valid_output": valid_output(graph, res, proc.d_c),
                     "vertex_strategy_ok": bool(vertex_ok),
                     "measured_words": proc.space_words(),
                     "paper_bound_words": round(space.thm54_words(n, d, c)),

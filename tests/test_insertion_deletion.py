@@ -123,6 +123,31 @@ def test_batch_order_irrelevant(one_heavy):
     assert (a.edge_bank.S2 == b.edge_bank.S2).all()
 
 
+def bank_cells(p):
+    return [getattr(bank, cell) for bank in (p.vertex_bank, p.edge_bank)
+            for cell in ("S0", "S1", "S2")]
+
+
+@pytest.mark.parametrize("stream", ["one_heavy", "many_heavy"])
+def test_batch_size_invariance(request, stream):
+    """Both banks hold the same cells at any batch size, and the vertex
+    bank equals a per-vertex reference built with ``update(rows=slice)``.
+    At c = 8 only some vertices are sampled, so edges miss the bank too."""
+    pdf, _ = request.getfixturevalue(stream)
+    mk = lambda: InsertionDeletionND(128, 256, 16, 8, seed=17)
+    ref = mk()
+    assert 0 < len(ref.sampled_vertices) < 128
+    a, b, op = (pdf[col].to_numpy(np.int64) for col in ("a", "b", "op"))
+    for i, v in enumerate(ref.sampled_vertices):
+        sel = a == v
+        ref.vertex_bank.update(b[sel], op[sel], rows=slice(i * ref.k_v, (i + 1) * ref.k_v))
+    ref.edge_bank.update(a * 256 + b, op)
+    for batch_size in (1, 7, 96, 4096):
+        p = run_stream_pandas(mk(), pdf, batch_size=batch_size)
+        for got, want in zip(bank_cells(p), bank_cells(ref)):
+            assert np.array_equal(got, want)
+
+
 def test_sampler_counts_match_formulas():
     n, m, d, c = 128, 256, 16, 4
     p = InsertionDeletionND(n, m, d, c, seed=0)

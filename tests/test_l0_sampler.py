@@ -180,3 +180,53 @@ def test_sketch_stream_spark_equals_local(spark):
     assert (merged.S0 == local.S0).all()
     assert (merged.S1 == local.S1).all()
     assert (merged.S2 == local.S2).all()
+
+
+def test_large_batch_accumulates_exactly():
+    """A cell's partial sum past 2^53 must stay exact: one 5M-update
+    batch equals five 1M-update batches, and S1 equals the integer sum."""
+    dim = (1 << 31) - 2
+    coord = np.full(1_000_000, dim - 1, dtype=np.int64)
+    whole = L0SamplerBank(1, dim, seed=3)
+    whole.update(np.tile(coord, 5), 1)
+    parts = L0SamplerBank(1, dim, seed=3)
+    for _ in range(5):
+        parts.update(coord, 1)
+    for cell in ("S0", "S1", "S2"):
+        assert (getattr(whole, cell) == getattr(parts, cell)).all()
+    assert int(whole.S1.sum()) == 5_000_000 * (dim - 1)
+    assert (whole.sample_all() == dim - 1).all()
+
+
+def test_large_delta_accumulates_exactly():
+    dim = (1 << 31) - 2
+    delta = (1 << 30) + 1
+    bank = L0SamplerBank(4, dim, seed=4)
+    bank.update(np.array([dim - 1]), delta)
+    assert (bank.S0.sum(axis=1) == delta).all()
+    assert (bank.S1.sum(axis=1) == delta * (dim - 1)).all()
+    assert (bank.sample_all() == dim - 1).all()
+
+
+def test_update_blocks_matches_per_block_updates():
+    g = np.random.default_rng(17)
+    k, blocks, dim = 5, 12, 1 << 10
+    coords = g.choice(dim, size=400)
+    deltas = g.choice([-2, -1, 1, 3], size=400)
+    block = g.integers(0, blocks, size=400)
+    got = L0SamplerBank(k * blocks, dim, seed=18)
+    got.update_blocks(coords, deltas, block * k, k)
+    ref = L0SamplerBank(k * blocks, dim, seed=18)
+    for j in range(blocks):
+        sel = block == j
+        ref.update(coords[sel], deltas[sel], rows=slice(j * k, (j + 1) * k))
+    for cell in ("S0", "S1", "S2"):
+        assert (getattr(got, cell) == getattr(ref, cell)).all()
+
+
+def test_update_blocks_rejects_out_of_range_block():
+    bank = L0SamplerBank(8, 100)
+    with pytest.raises(ValueError):
+        bank.update_blocks(np.array([1]), 1, np.array([5]), 4)
+    with pytest.raises(ValueError):
+        bank.update_blocks(np.array([1]), 1, np.array([-1]), 4)

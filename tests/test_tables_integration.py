@@ -54,6 +54,7 @@ def test_table3_shape(spark):
     )
     assert t3["success"].all()
     assert (t3["out_size"] >= t3["required_d_over_c"]).all()
+    assert t3["valid_output"].all()
     # turnstile space far above the insertion-only bound at same (n,d,c)
     assert (t3["measured_words"] > t3["ins_only_bound_words"]).all()
     # and decreasing in c
