@@ -20,7 +20,11 @@ def table3_ok(out):
 
 
 def table4_ok(out):
-    assert (out["recovered_in_support"] == 1.0).all()
+    # a stalled peel (probability O(1/k)) may cost a few coordinates
+    assert (out["yield_median"] == out["yield_target"]).all()
+    assert (out["yield_min"] >= 0.9 * out["yield_target"]).all()
+    assert (out["deleted_recovered"] == 0).all() and (out["outside_support"] == 0).all()
+    assert (out["tv_from_uniform"] <= out["tv_exact_sampler"] + 0.05).all()
 
 
 def table5_ok(out):
@@ -28,6 +32,7 @@ def table5_ok(out):
 
 
 def table6_ok(out):
+    assert out["valid_output"].all()
     assert (out["approx_ratio"] <= out["paper_guarantee"]).all()
 
 
@@ -43,8 +48,8 @@ CASES = [
     (tables.table2, dict(n=1024, d=128, c=4, trials=20, seed=0), table2_ok),
     # Table 3: insertion-deletion Algorithm 3 across c (Thm 5.4)
     (tables.table3, dict(n=256, m=512, d=32, cs=(2, 4, 8, 16, 32), seed=0), table3_ok),
-    # Table 4: l0-sampler substrate quality
-    (tables.table4, dict(dims=(1 << 10, 1 << 14, 1 << 17), seed=0), table4_ok),
+    # Table 4: k-sample l0 sketch quality
+    (tables.table4, dict(dims=(1 << 10, 1 << 14, 1 << 17), ks=(8, 64, 512), seed=0), table4_ok),
     # Table 5: constructive lower-bound reductions
     (tables.table5, dict(seed=0), table5_ok),
     # Table 6: Star Detection (Cors 3.3/5.5)

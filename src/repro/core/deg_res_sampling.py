@@ -145,6 +145,8 @@ class DegResSampling:
         if (batch["op"].to_numpy() != 1).any():
             raise ValueError("Deg-Res-Sampling handles insertion-only streams")
         a = batch["a"].to_numpy()
+        if len(a) and (a.min() < 0 or a.max() >= self.n):
+            raise ValueError("A-vertex id outside [0, n)")
         b = batch["b"].to_numpy()
         new_deg = self.deg[a] + running_rank(a) + 1
         self.ingest(a, b, np.flatnonzero(new_deg == self.d1))
@@ -274,13 +276,24 @@ class DegResSampling:
         order = self._by_entry(np.arange(self._occ)).tolist()
         return WitnessView(self._slots[order].tolist(), [self._wit[j] for j in order])
 
+    def _full(self) -> np.ndarray:
+        """Slots whose member holds ``d2`` distinct witnesses, by entry.
+
+        A stream that repeats an edge makes a member collect the same
+        witness twice, so ``d2`` collected edges alone do not suffice."""
+        full = [j for j in np.flatnonzero(self._lens[: self._occ] >= self.d2).tolist()
+                if len(np.unique(np.frombuffer(self._wit[j], dtype=np.int64))) >= self.d2]
+        return self._by_entry(np.array(full, dtype=np.int64))
+
     def succeeded(self) -> bool:
-        """Paper's success: some stored neighborhood reached size ``d2``."""
-        return bool((self._lens[: self._occ] >= self.d2).any())
+        """Paper's success: some stored neighborhood reached ``d2`` distinct
+        witnesses."""
+        return len(self._full()) > 0
 
     def result(self) -> Optional[tuple[int, set[int]]]:
-        """Uniform random neighborhood among those of size ``d2``; None=fail."""
-        full = self._by_entry(np.flatnonzero(self._lens[: self._occ] >= self.d2))
+        """Uniform random neighborhood among those of ``d2`` distinct
+        witnesses; None=fail."""
+        full = self._full()
         if len(full) == 0:
             return None
         j = int(full[int(self.rng.integers(len(full)))])

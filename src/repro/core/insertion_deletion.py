@@ -2,24 +2,34 @@
 
 Two l0-sketch strategies run in parallel (``x = max(n/c, sqrt(n))``):
 
-- **Vertex sampling** — pre-sample ``~x ln n`` A-vertices; for each,
-  ``~(d/c) ln n`` l0 samplers over its incident-edge vector (dim m).
-  Wins when there are ``>= n/x`` vertices of degree ``>= d/c``
+- **Vertex sampling** — pre-sample ``~x ln n`` A-vertices; for each, a
+  ``k_v = (d/c) ln n``-sample l0 sketch over its incident-edge vector
+  (dim m). Wins when there are ``>= n/x`` vertices of degree ``>= d/c``
   (Lemma 5.2).
-- **Edge sampling** — ``~(nd/c)(1/x + 1/c) ln(nm)`` l0 samplers over
-  the whole edge vector (dim n*m). Wins otherwise: few heavy vertices
-  means few total edges, so a Delta-degree vertex owns a large fraction
-  of them (Lemma 5.3).
+- **Edge sampling** — one ``k_e = (nd/c)(1/x + 1/c) ln(nm)``-sample l0
+  sketch over the whole edge vector (dim n*m). Wins otherwise: few
+  heavy vertices means few total edges, so a Delta-degree vertex owns a
+  large fraction of them (Lemma 5.3).
+
+The paper draws ``k`` independent samples with replacement; a
+k-sample sketch (:class:`repro.core.l0_sampler.L0SamplerBank`) returns
+a uniform subset of ``min(k, |support|)`` distinct edges, which has at
+least as many distinct elements (DESIGN.md §2), so both lemmas carry
+over. Each update touches three cells per bank instead of ``k``. The
+vertex bank holds every sampled vertex's sketch in one array and takes
+a whole batch in one update, each edge addressed to its vertex's block.
 
 Output: any stored neighborhood of size ``>= d/c``, else fail.
 
-The paper's constant ``10`` in the sampler counts is a proof artifact;
+The paper's constant ``10`` in the sample counts is a proof artifact;
 the ``c0_*`` multipliers below default to 1.0 and EXPERIMENTS.md
 records the choice (shape, not constants, is what reproduces).
 
 Sketches are linear, so the whole state is mergeable; process_batch
 order is irrelevant — which is exactly why this algorithm survives
-deletions where Algorithm 2's degree counting does not.
+deletions where Algorithm 2's degree counting does not. A batch is
+rejected, before anything is hashed, unless ``0 <= a < n``,
+``0 <= b < m`` and ``op`` is ``+1`` or ``-1``.
 """
 from __future__ import annotations
 
@@ -57,7 +67,7 @@ class InsertionDeletionND:
         n_sampled = min(n, math.ceil(c0_vertex * self.x * ln_n))
         self.sampled_vertices = np.sort(rng.choice(n, size=n_sampled, replace=False))
         self.k_v = max(1, math.ceil(c0_per_vertex * (d / c) * ln_n))
-        self.vertex_bank = L0SamplerBank(n_sampled * self.k_v, dim=m, seed=seed + 1)
+        self.vertex_bank = L0SamplerBank(self.k_v, dim=m, seed=seed + 1, blocks=n_sampled)
         self.k_e = max(
             1,
             math.ceil(c0_edge * (n * d / c) * (1 / self.x + 1 / c) * ln_nm),
@@ -70,11 +80,18 @@ class InsertionDeletionND:
         a = batch["a"].to_numpy(np.int64)
         b = batch["b"].to_numpy(np.int64)
         op = batch["op"].to_numpy(np.int64)
+        if len(a):
+            if a.min() < 0 or a.max() >= self.n:
+                raise ValueError("A-vertex id outside [0, n)")
+            if b.min() < 0 or b.max() >= self.m:
+                raise ValueError("B-vertex id outside [0, m)")
+            if (np.abs(op) != 1).any():
+                raise ValueError("op must be +1 or -1")
         self.edge_bank.update(a * self.m + b, op)
-        # each sampled vertex owns k_v consecutive samplers of the vertex bank
+        # each sampled vertex owns one block of the vertex bank
         slot = np.searchsorted(self.sampled_vertices, a)
         hit = self.sampled_vertices[np.minimum(slot, len(self.sampled_vertices) - 1)] == a
-        self.vertex_bank.update_blocks(b[hit], op[hit], slot[hit] * self.k_v, self.k_v)
+        self.vertex_bank.update_blocks(b[hit], op[hit], slot[hit])
 
     # ------------------------------------------------------------------ #
 

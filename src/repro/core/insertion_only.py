@@ -70,6 +70,8 @@ class InsertionOnlyND:
         if (batch["op"].to_numpy() != 1).any():
             raise ValueError("insertion-only algorithm got a deletion")
         a = batch["a"].to_numpy()
+        if len(a) and (a.min() < 0 or a.max() >= self.n):
+            raise ValueError("A-vertex id outside [0, n)")
         b = batch["b"].to_numpy()
         new_deg = self.deg[a] + running_rank(a) + 1
         for run in self.runs:

@@ -1,171 +1,215 @@
-"""From-scratch l0-sampler sketches (the paper's [32] substrate, §5).
+"""From-scratch k-sample l0 sketch (the paper's [32] substrate, §5).
 
-An l0 sampler returns a (near-)uniform element of the support of the
-vector described by an insert/delete stream. Construction (standard):
+A k-sample l0 sketch returns up to ``k`` distinct coordinates of the
+support of the vector an insert/delete stream describes, a uniform
+subset without replacement. Construction (Cormode & Firmani, DAPD 2014;
+the cell tables are Goodrich & Mitzenmacher's invertible Bloom lookup
+tables, Allerton 2011):
 
-- geometric *level* assignment: a seeded hash maps each coordinate to a
-  level ``G`` with ``P(G >= l) ~ 2^-l``; the coordinate contributes to
-  every level ``<= G`` (nested subsampling),
-- per level a 1-sparse recovery unit ``(S0, S1, S2) = (sum c_i,
-  sum c_i * i, sum c_i * g(i) mod q)`` with an independent fingerprint
-  hash ``g``; a unit holding exactly one support coordinate ``i*``
-  satisfies ``S0 != 0``, ``S1/S0 = i*`` integral, and
-  ``S2 = S0 * g(i*) mod q`` (a >=2-sparse unit passes only w.p. ~1/q),
-- recovery scans levels sparsest-first and returns the first verifying
-  unit's coordinate.
+- one seeded *level* hash ``u(i)`` per coordinate puts it at level
+  ``G`` with ``P(G >= l) = 2^-l`` (nested subsampling: level ``l`` of
+  the vector holds the coordinates with ``G >= l``, which are exactly
+  those of smallest ``u``), over ``L = ceil(log2(dim/k)) + 2`` levels,
+  so the sparsest level holds at most ``k/2`` coordinates in
+  expectation even for a full support;
+- per level a table of ``3w`` cells, ``w = ceil(0.45 k) + 2``, split
+  in three parts of ``w``: three more hashes send a coordinate to one
+  cell of each part, and each cell is a sparse-recovery unit
+  ``(S0, S1, S2) = (sum c_i, sum c_i * i, sum c_i * g(i) mod q)`` with a
+  nonlinear fingerprint hash ``g``. A cell holding exactly one support
+  coordinate ``i*`` is *pure*: ``S0 != 0``, ``S1/S0 = i*`` integral,
+  ``S2 = S0 * g(i*) mod q``, and ``i*`` hashes to this level and cell
+  (a cell of two or more coordinates passes only w.p. about ``1/q``);
+- :meth:`L0SamplerBank.peel` takes every pure cell's coordinate,
+  subtracts it from its three cells, and repeats until no cell is pure.
+  An update is added at its own level only, so the levels peel as
+  independent tables, and a table of up to about ``1.1 w`` coordinates
+  empties w.h.p. (it stalls w.p. ``O(1/w)``, mostly when two
+  coordinates share all three cells);
+- :meth:`L0SamplerBank.sample_all` returns the ``k`` recovered
+  coordinates of smallest ``u``. When the densest level whose tables
+  (and every sparser level's) emptied holds ``k`` or more coordinates,
+  that is the bottom-``k`` of the whole support by ``u``; a support of
+  at most ``k/2`` empties every level w.h.p. and is returned whole.
+  Which coordinates are recovered depends only on their hash values,
+  so with fully random hashes and equal nonzero entries the output is
+  a uniform subset of the support given its size.
 
 Everything is *linear* in the stream, so sketches merge by addition —
 that is what lets Spark partitions build partial sketches independently
 (:func:`sketch_stream_spark`) with the driver summing them, and what
-makes deletions free.
-
-``L0SamplerBank`` vectorises ``num`` independent samplers as ``(num, L)``
-int64 cells ``S0, S1, S2``; contributions are bucketed at the assigned
-level and suffix-summed at query time (a coordinate at level ``G``
-belongs to all levels ``<= G``). One kernel adds them in exact integer
-arithmetic, for a slice of the bank (``update``) or a block of ``k``
-samplers per update (``update_blocks``), so no batch size changes a bank.
+makes deletions free. Cells accumulate in exact int64, so no batch size
+changes a sketch. ``blocks`` independent sketches over the same
+dimension (Algorithm 3's one sketch per sampled vertex) share the hash
+functions and one ``(blocks, L, 3w)`` array per cell field.
 """
 from __future__ import annotations
 
+import math
 import pickle
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-_P = (1 << 31) - 1  # hash modulus (Mersenne prime)
-_Q = (1 << 31) - 1  # fingerprint field
-_CHUNK_CELLS = 4_000_000  # (update, sampler) cells hashed per chunk
+_Q = (1 << 31) - 1  # fingerprint field; coordinates stay below it
+_C1 = np.uint64(0xBF58476D1CE4E5B9)
+_C2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finaliser on uint64 (wrapping arithmetic is the mix)."""
+    z = (z ^ (z >> _S30)) * _C1
+    z = (z ^ (z >> _S27)) * _C2
+    return z ^ (z >> _S31)
 
 
 def _fingerprint(a2: np.ndarray, b2: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-sampler NONLINEAR fingerprint hash ``g_j(i)``.
+    """NONLINEAR fingerprint hash ``g(i)``.
 
-    A linear ``a2*i + b2`` would be useless here: for any unit,
+    A linear ``a2*i + b2`` would be useless here: for any cell,
     ``sum c_i * g(i) = S0 * g(S1/S0)`` holds identically whenever the
-    divisibility test passes, so every >=2-sparse level would verify.
+    divisibility test passes, so every >=2-sparse cell would verify.
     We therefore pass the pairwise hash through a splitmix64 finaliser
-    (wrapping uint64 arithmetic is part of the mix) before reducing to
-    the fingerprint field.
+    before reducing to the fingerprint field.
     """
     z = ((a2 * idx + b2) % _Q).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z % np.uint64(_Q)).astype(np.int64)
+    return (_mix(z) % np.uint64(_Q)).astype(np.int64)
+
+
+def _add_cells(s0, s1, s2, cells, idx, delta, g) -> None:
+    """Add ``delta[i]`` of coordinate ``idx[i]``, fingerprint ``g[i]``, to
+    its three flat ``cells[3i : 3i + 3]`` of ``(S0, S1, S2)``, exactly.
+
+    Terms reduced mod q stay below 2^31, so an ``S2`` cell's sum stays
+    exact in int64 for any batch under 2^32 updates.
+    """
+    np.add.at(s0, cells, delta.repeat(3))
+    np.add.at(s1, cells, (delta * idx).repeat(3))
+    np.add.at(s2, cells, (delta % _Q * g % _Q).repeat(3))
+    s2[cells] %= _Q
 
 
 class L0SamplerBank:
-    """``num`` independent l0 samplers over vectors of dimension ``dim``.
+    """``blocks`` k-sample l0 sketches, ``k = num``, over dimension ``dim``.
 
-    Requires ``dim < 2^31`` so all hash arithmetic stays in exact int64.
+    Requires ``dim < 2^31 - 1`` so all cell arithmetic stays in exact
+    int64. Each sketch recovers up to ``num`` distinct coordinates.
     """
 
-    def __init__(self, num: int, dim: int, seed: int = 0, levels: int | None = None):
-        if dim >= _P:
+    def __init__(self, num: int, dim: int, seed: int = 0, blocks: int = 1):
+        if dim >= _Q:
             raise ValueError("dim must be < 2^31 - 1")
+        if num < 1 or blocks < 1:
+            raise ValueError("num and blocks must be >= 1")
         self.num = num
         self.dim = dim
         self.seed = seed
-        self.L = levels if levels is not None else max(2, int(np.ceil(np.log2(max(dim, 2)))) + 2)
+        self.blocks = blocks
+        self.L = max(0, math.ceil(math.log2(max(dim, 1) / num))) + 2
+        self.w = math.ceil(0.45 * num) + 2  # cells per hash, per level
         g = np.random.default_rng(seed)
-        self.a1 = g.integers(1, _P, num, dtype=np.int64)
-        self.b1 = g.integers(0, _P, num, dtype=np.int64)
-        self.a2 = g.integers(1, _Q, num, dtype=np.int64)
-        self.b2 = g.integers(0, _Q, num, dtype=np.int64)
-        self.S0 = np.zeros((num, self.L), dtype=np.int64)
-        self.S1 = np.zeros((num, self.L), dtype=np.int64)
-        self.S2 = np.zeros((num, self.L), dtype=np.int64)
+        # the level hash u and the three cell hashes
+        self.keys = g.integers(0, 1 << 64, 4, dtype=np.uint64)
+        self.a2 = int(g.integers(1, _Q))
+        self.b2 = int(g.integers(0, _Q))
+        # u < 2^(64-l) puts a coordinate at level l or above
+        self._cuts = np.uint64(1) << np.arange(64 - self.L + 1, 64, dtype=np.uint64)
+        shape = (blocks, self.L, 3 * self.w)
+        self.S0 = np.zeros(shape, dtype=np.int64)
+        self.S1 = np.zeros(shape, dtype=np.int64)
+        self.S2 = np.zeros(shape, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
 
-    def update(
-        self,
-        idx: np.ndarray,
-        delta: np.ndarray | int = 1,
-        rows: slice | None = None,
-        chunk_cells: int = _CHUNK_CELLS,
-    ) -> None:
-        """Apply ``vec[idx] += delta`` to the samplers in ``rows`` (all by
-        default, else a slice of the bank)."""
-        samplers = np.arange(self.num, dtype=np.int64)[slice(None) if rows is None else rows]
-        self._accumulate(idx, delta, None, samplers, chunk_cells)
+    def _hash(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each coordinate's level hash ``u`` and its three cells (one per
+        part, at its level) as flat offsets within one block."""
+        h = _mix(idx.astype(np.uint64)[:, None] + self.keys)
+        u = h[:, 0]
+        level = (self.L - 1) - np.searchsorted(self._cuts, u, side="right")
+        cells = (h[:, 1:] % np.uint64(self.w)).astype(np.int64) + np.arange(3) * self.w
+        return u, cells + (level * 3 * self.w)[:, None]
 
-    def update_blocks(
-        self, idx: np.ndarray, delta: np.ndarray | int, first: np.ndarray, k: int
-    ) -> None:
-        """Apply ``vec[idx[i]] += delta[i]`` to samplers ``first[i]`` to
-        ``first[i] + k - 1`` only: one block of ``k`` samplers per update."""
-        first = np.asarray(first, dtype=np.int64)
-        if first.size and (first.min() < 0 or first.max() + k > self.num):
-            raise ValueError("sampler block out of range")
-        self._accumulate(idx, delta, first, np.arange(k, dtype=np.int64), _CHUNK_CELLS)
+    def update(self, idx: np.ndarray, delta: np.ndarray | int = 1) -> None:
+        """Apply ``vec[idx] += delta`` in every block."""
+        idx = np.asarray(idx, dtype=np.int64)
+        block = np.arange(self.blocks).repeat(idx.size)
+        self.update_blocks(np.tile(idx, self.blocks),
+                           np.tile(np.broadcast_to(delta, idx.shape), self.blocks), block)
 
-    def _accumulate(self, idx, delta, first: np.ndarray | None, offsets: np.ndarray,
-                    chunk_cells: int) -> None:
-        """Add update ``i`` to samplers ``first[i] + offsets``, or to
-        ``offsets`` when ``first`` is None (hash keys then broadcast over
-        updates instead of being gathered per cell): hash each (update,
-        sampler) cell to its level and fingerprint, sum into ``S0/S1/S2``
-        in exact int64, about ``chunk_cells`` cells per chunk of updates."""
+    def update_blocks(self, idx: np.ndarray, delta: np.ndarray | int, block: np.ndarray) -> None:
+        """Apply ``vec[idx[i]] += delta[i]`` in block ``block[i]`` only."""
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             return
-        if (idx < 0).any() or (idx >= self.dim).any():
+        if idx.min() < 0 or idx.max() >= self.dim:
             raise ValueError("coordinate out of range")
+        block = np.broadcast_to(np.asarray(block, dtype=np.int64), idx.shape)
+        if block.min() < 0 or block.max() >= self.blocks:
+            raise ValueError("block out of range")
         delta = np.broadcast_to(np.asarray(delta, dtype=np.int64), idx.shape)
-        s0, s1, s2 = self.S0.reshape(-1), self.S1.reshape(-1), self.S2.reshape(-1)
-        step = max(1, chunk_cells // max(offsets.size, 1))
-        for lo in range(0, idx.size, step):
-            i = idx[lo : lo + step, None]
-            d = delta[lo : lo + step, None]
-            r = offsets if first is None else first[lo : lo + step, None] + offsets
-            h = (self.a1[r] * i + self.b1[r]) % _P
-            G = np.minimum(self.L - 1, np.floor(-np.log2((h + 0.5) / _P)).astype(np.int64))
-            cell = (r * self.L + G).ravel()
-            np.add.at(s0, cell, np.broadcast_to(d, G.shape).ravel())
-            np.add.at(s1, cell, np.broadcast_to(d * i, G.shape).ravel())
-            # Terms reduced mod q stay below 2^31, so a cell's sum stays
-            # exact in int64 for any batch under 2^32 updates.
-            fp = _fingerprint(self.a2[r], self.b2[r], i)
-            np.add.at(s2, cell, (d % _Q * fp % _Q).ravel())
-        np.remainder(self.S2, _Q, out=self.S2)
+        _, cells = self._hash(idx)
+        cells = (cells + (block * self.S0[0].size)[:, None]).ravel()
+        _add_cells(self.S0.reshape(-1), self.S1.reshape(-1), self.S2.reshape(-1), cells,
+                   idx, delta, _fingerprint(self.a2, self.b2, idx))
 
     # ------------------------------------------------------------------ #
 
-    def sample_all(self) -> np.ndarray:
-        """Recover one support coordinate per sampler (-1 on failure).
+    def peel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode every level's table at once: take each pure cell's
+        coordinate, subtract it from its three cells, repeat until no
+        cell is pure. Returns the recovered coordinates with their
+        blocks, and a ``(blocks, L)`` mask of the tables left non-empty
+        (the peel stalled there). The sketch itself is not changed."""
+        s0, s1, s2 = (a.reshape(-1).copy() for a in (self.S0, self.S1, self.S2))
+        per_block = self.S0[0].size
+        found_cell, found_idx = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        cand = np.flatnonzero(s0)
+        while cand.size:
+            c0, c1 = s0[cand], s1[cand]
+            i = c1 // np.where(c0 == 0, 1, c0)
+            ok = (c0 != 0) & (i * c0 == c1) & (i >= 0) & (i < self.dim)
+            cand, c0, i = cand[ok], c0[ok], i[ok]
+            _, cells = self._hash(i)
+            fp = _fingerprint(self.a2, self.b2, i)
+            ok = ((cells == (cand % per_block)[:, None]).any(axis=1)
+                  & ((s2[cand] - c0 % _Q * fp) % _Q == 0))
+            # a coordinate pure in two of its cells is taken once
+            _, first = np.unique((cand // per_block * self.dim + i)[ok], return_index=True)
+            sel = np.flatnonzero(ok)[first]
+            cand, c0, i, fp, cells = cand[sel], c0[sel], i[sel], fp[sel], cells[sel]
+            found_cell.append(cand)
+            found_idx.append(i)
+            touched = (cells + (cand // per_block * per_block)[:, None]).ravel()
+            _add_cells(s0, s1, s2, touched, i, -c0, fp)
+            cand = np.unique(touched)
+            cand = cand[s0[cand] != 0]
+        stalled = (s0 != 0) | (s1 != 0) | (s2 != 0)
+        return (np.concatenate(found_cell) // per_block, np.concatenate(found_idx),
+                stalled.reshape(self.blocks, self.L, -1).any(axis=2))
 
-        Scans levels sparsest-first; a level verifies iff its suffix-
-        summed unit is exactly 1-sparse (divisibility + fingerprint).
-        """
-        # suffix sums: level l aggregates buckets >= l
-        s0 = np.flip(np.cumsum(np.flip(self.S0, 1), axis=1), 1)
-        s1 = np.flip(np.cumsum(np.flip(self.S1, 1), axis=1), 1)
-        s2 = np.flip(np.cumsum(np.flip(self.S2, 1).astype(np.int64), axis=1), 1) % _Q
-        nz = s0 != 0
-        safe = np.where(nz, s0, 1)
-        i_star = s1 // safe
-        ok = nz & (s1 % safe == 0) & (i_star >= 0) & (i_star < self.dim)
-        g_at = _fingerprint(
-            self.a2[:, None], self.b2[:, None], np.clip(i_star, 0, self.dim - 1)
-        )
-        fp_ok = ((s2 - (s0 % _Q) * g_at) % _Q) == 0
-        ok &= fp_ok
-        lvl = np.where(ok, np.arange(self.L)[None, :], -1).max(axis=1)
-        out = np.full(self.num, -1, dtype=np.int64)
-        hit = lvl >= 0
-        out[hit] = i_star[hit, lvl[hit]]
-        return out
+    def sample_all(self) -> np.ndarray:
+        """Up to ``num`` distinct support coordinates per block, padded
+        with -1: block ``j``'s are entries ``j*num`` to ``(j+1)*num - 1``,
+        the ``num`` recovered coordinates of smallest level hash ``u``."""
+        block, idx, _ = self.peel()
+        order = np.lexsort((idx, self._hash(idx)[0], block))
+        block, idx = block[order], idx[order]
+        rank = np.arange(len(idx)) - np.searchsorted(block, block)
+        take = rank < self.num
+        out = np.full((self.blocks, self.num), -1, dtype=np.int64)
+        out[block[take], rank[take]] = idx[take]
+        return out.reshape(-1)
 
     def merge(self, other: "L0SamplerBank") -> "L0SamplerBank":
-        """In-place sketch addition (linearity). Seeds must match."""
-        if (self.num, self.dim, self.seed, self.L) != (
+        """In-place sketch addition (linearity). Parameters must match."""
+        if (self.num, self.dim, self.seed, self.blocks) != (
             other.num,
             other.dim,
             other.seed,
-            other.L,
+            other.blocks,
         ):
             raise ValueError("cannot merge banks with different parameters")
         self.S0 += other.S0
@@ -174,7 +218,8 @@ class L0SamplerBank:
         return self
 
     def space_words(self) -> int:
-        return 3 * self.num * self.L + 4 * self.num
+        """Three words per cell plus the six hash keys."""
+        return 3 * self.S0.size + 6
 
 
 def sketch_stream_spark(df: DataFrame, make_bank, value_col: str = "op") -> L0SamplerBank:

@@ -38,6 +38,14 @@ def test_rejects_deletions():
         p.process_batch(bad)
 
 
+def test_rejects_out_of_range_vertex():
+    p = DegResSampling(8, 1, 1, 1)
+    for a in (-1, 8):
+        with pytest.raises(ValueError):
+            p.process_batch(mk_stream([(0, 1), (a, 2)]))
+    assert not p.deg.any() and p.x == 0
+
+
 def test_small_reservoir_stores_all_when_few_candidates():
     """Lemma 3.1 first case: fewer candidates than s -> deterministic."""
     edges = star(0, 10) + star(1, 10, 100)
@@ -183,8 +191,8 @@ class PerEdgeAlg1:
     The reservoir is a list; a candidate enters while it has room, and
     otherwise replaces the member of largest ``(priority, vertex)`` in
     place if its own pair is smaller. The RNG is drawn only by
-    ``result()``. ``peak`` is the largest number of collected witnesses
-    after any edge.
+    ``result()``, among the members holding ``d2`` distinct witnesses.
+    ``peak`` is the largest number of collected witnesses after any edge.
     """
 
     def __init__(self, n, d1, d2, s, seed):
@@ -217,7 +225,7 @@ class PerEdgeAlg1:
         self.peak = max(self.peak, sum(len(w) for w in self.coll.values()))
 
     def result(self):
-        full = [v for v, ws in self.coll.items() if len(ws) >= self.d2]
+        full = [v for v, ws in self.coll.items() if len(set(ws)) >= self.d2]
         if not full:
             return None
         v = full[int(self.rng.integers(len(full)))]
@@ -244,7 +252,7 @@ def assert_same_as_reference(p, ref):
     assert p.x == ref.x
     assert p.space_words() == ref.space_words()
     assert p.peak_collected == ref.peak
-    assert p.succeeded() == any(len(w) >= ref.d2 for w in ref.coll.values())
+    assert p.succeeded() == any(len(set(w)) >= ref.d2 for w in ref.coll.values())
     assert p.result() == ref.result()
 
 

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import space, synth_data
 from repro.core.insertion_deletion import InsertionDeletionND
+from repro.core.l0_sampler import L0SamplerBank
 from repro.streamsim.runner import run_stream_pandas
 from repro.streamsim.stream import final_graph
 
@@ -130,22 +133,80 @@ def bank_cells(p):
 
 @pytest.mark.parametrize("stream", ["one_heavy", "many_heavy"])
 def test_batch_size_invariance(request, stream):
-    """Both banks hold the same cells at any batch size, and the vertex
-    bank equals a per-vertex reference built with ``update(rows=slice)``.
-    At c = 8 only some vertices are sampled, so edges miss the bank too."""
+    """Both banks hold the same cells at any batch size, and each block
+    of the vertex bank equals a one-block sketch of the same seed fed only
+    that vertex's edges. At c = 8 only some vertices are sampled, so
+    edges miss the bank too."""
     pdf, _ = request.getfixturevalue(stream)
     mk = lambda: InsertionDeletionND(128, 256, 16, 8, seed=17)
     ref = mk()
     assert 0 < len(ref.sampled_vertices) < 128
     a, b, op = (pdf[col].to_numpy(np.int64) for col in ("a", "b", "op"))
     for i, v in enumerate(ref.sampled_vertices):
-        sel = a == v
-        ref.vertex_bank.update(b[sel], op[sel], rows=slice(i * ref.k_v, (i + 1) * ref.k_v))
+        one = L0SamplerBank(ref.k_v, 256, seed=ref.vertex_bank.seed)
+        one.update(b[a == v], op[a == v])
+        for cell in ("S0", "S1", "S2"):
+            getattr(ref.vertex_bank, cell)[i] = getattr(one, cell)[0]
     ref.edge_bank.update(a * 256 + b, op)
     for batch_size in (1, 7, 96, 4096):
         p = run_stream_pandas(mk(), pdf, batch_size=batch_size)
         for got, want in zip(bank_cells(p), bank_cells(ref)):
             assert np.array_equal(got, want)
+
+
+@st.composite
+def turnstile_streams(draw, n=12, m=10):
+    """A random turnstile stream: distinct edges inserted, some deleted
+    after their insertion, some re-inserted after that."""
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                          unique=True, max_size=60))
+    events = [(a, b, 1) for a, b in edges]
+    for a, b in draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []:
+        events.append((a, b, -1))
+        if draw(st.booleans()):
+            events.append((a, b, 1))
+    order = draw(st.permutations(range(len(events))))
+    # keep each edge's events in their original relative order
+    by_edge: dict = {}
+    for e in events:
+        by_edge.setdefault(e[:2], []).append(e)
+    slots = [events[i][:2] for i in order]
+    stream = [by_edge[key].pop(0) for key in slots]
+    return pd.DataFrame(stream or None, columns=["a", "b", "op"]).assign(
+        pos=np.arange(len(stream), dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pdf=turnstile_streams(), batch=st.integers(1, 40), seed=st.integers(0, 1000),
+       c=st.sampled_from([1, 2, 4]))
+def test_batch_size_invariance_random_streams(pdf, batch, seed, c):
+    """Algorithm 3 on a random turnstile stream holds the same cells and
+    reports the same neighbourhoods at any batch size, and every reported
+    edge is in the final graph."""
+    mk = lambda: InsertionDeletionND(12, 10, 4, c, seed=seed)
+    whole = run_stream_pandas(mk(), pdf, batch_size=max(1, len(pdf)))
+    split = run_stream_pandas(mk(), pdf, batch_size=batch)
+    for got, want in zip(bank_cells(split), bank_cells(whole)):
+        assert np.array_equal(got, want)
+    assert split.recovered_neighborhoods() == whole.recovered_neighborhoods()
+    alive = set(map(tuple, final_graph(pdf)[["a", "b"]].to_numpy().tolist())) if len(pdf) else set()
+    for v, bs in whole.recovered_neighborhoods().items():
+        assert all((v, b) in alive for b in bs)
+
+
+@pytest.mark.parametrize("a, b, op", [(-1, 20, 1), (16, 3, 1), (3, -1, 1), (3, 16, 1),
+                                      (3, 4, 2), (3, 4, 0), (-1, 4, 1)])
+def test_rejects_bad_batch_before_hashing(a, b, op):
+    """Out-of-range ids and ops outside {+1, -1} are rejected and leave
+    the sketches untouched (a = -1, b = 20 used to land on edge (0, 4))."""
+    p = InsertionDeletionND(16, 16, 8, 2)
+    good = pd.DataFrame({"pos": [0], "a": [5], "b": [6], "op": [1]})
+    bad = pd.DataFrame({"pos": [1, 2], "a": [5, a], "b": [7, b], "op": [1, op]})
+    p.process_batch(good)
+    before = [cell.copy() for cell in bank_cells(p)]
+    with pytest.raises(ValueError):
+        p.process_batch(bad)
+    assert all(np.array_equal(x, y) for x, y in zip(bank_cells(p), before))
 
 
 def test_sampler_counts_match_formulas():

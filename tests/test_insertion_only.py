@@ -34,6 +34,34 @@ def test_rejects_deletions():
         )
 
 
+@pytest.mark.parametrize("a", [-1, 8, 100])
+def test_rejects_out_of_range_vertex(a):
+    """An A-vertex id outside [0, n) used to be counted in deg[n - 1]
+    (a = -1) and reported as vertex -1."""
+    p = InsertionOnlyND(8, 2, 2)
+    with pytest.raises(ValueError):
+        p.process_batch(pd.DataFrame({"pos": [0, 1], "a": [0, a], "b": [0, 1], "op": [1, 1]}))
+    assert not p.deg.any()
+
+
+def test_success_counts_distinct_witnesses():
+    """Eight edges of vertex 3 over only two witnesses are 8 >= d/c = 4
+    collected edges but 2 distinct neighbours: neither succeeded() nor
+    result() may report them. With witnesses 1, 2, 1, 3, 4, 5, 6, 7 the
+    first run (d1 = 1) holds 1, 2, 1, 3 and fails; the second (d1 = 4)
+    holds 3, 4, 5, 6 and is the one reported."""
+    p = InsertionOnlyND(16, 8, 2)
+    p.process_batch(pd.DataFrame({"pos": range(8), "a": 3, "b": [1, 2] * 4, "op": 1}))
+    assert not p.succeeded()
+    assert p.result() is None
+    q = InsertionOnlyND(16, 8, 2)
+    q.process_batch(pd.DataFrame({"pos": range(8), "a": 3, "b": [1, 2, 1, 3, 4, 5, 6, 7],
+                                  "op": 1}))
+    assert q.succeeded()
+    assert not q.runs[0].succeeded()
+    assert q.result() == (3, {3, 4, 5, 6})
+
+
 def test_reservoir_size_matches_theorem():
     p = InsertionOnlyND(1024, 64, 4)
     assert p.s == space.reservoir_size(1024, 4) == int(np.ceil(np.log(1024) * 1024**0.25))
