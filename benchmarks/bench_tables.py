@@ -12,6 +12,7 @@ def table1_ok(out):
 
 def table2_ok(out):
     assert (out["success_rate"] >= 0.9).all()
+    assert (out["valid_output"] == out["trials"]).all()
 
 
 def table3_ok(out):

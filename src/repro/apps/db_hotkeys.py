@@ -16,16 +16,7 @@ from pyspark.sql import functions as F
 
 from repro.core.insertion_only import InsertionOnlyND
 from repro.streamsim.runner import run_stream
-
-
-def log_to_stream(log_df: DataFrame) -> DataFrame:
-    """DB update log -> canonical stream: a=key (item), b=txn (witness id)."""
-    return log_df.select(
-        F.col("txn").cast("long").alias("pos"),
-        F.col("key").cast("long").alias("a"),
-        F.col("txn").cast("long").alias("b"),
-        F.lit(1).cast("int").alias("op"),
-    )
+from repro.streamsim.stream import log_to_stream
 
 
 def resolve_users(log_df: DataFrame, txns: set[int]) -> set[int]:
@@ -52,5 +43,5 @@ def detect_hot_keys(
     """Report one hot key (updated ``>= d`` times) with ``>= d/c`` of the
     users that committed its updates."""
     proc = InsertionOnlyND(n_keys, d=d, c=c, seed=seed)
-    run_stream(proc, log_to_stream(log_df), batch_size=batch_size)
+    run_stream(proc, log_to_stream(log_df, "key", "txn"), batch_size=batch_size)
     return proc.result(), proc

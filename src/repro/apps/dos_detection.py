@@ -13,20 +13,10 @@ from __future__ import annotations
 from typing import Optional
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.insertion_only import InsertionOnlyND
 from repro.streamsim.runner import run_stream
-
-
-def log_to_stream(log_df: DataFrame) -> DataFrame:
-    """Router log -> canonical stream: a=dst (item), b=ts (witness)."""
-    return log_df.select(
-        F.col("ts").cast("long").alias("pos"),
-        F.col("dst").cast("long").alias("a"),
-        F.col("ts").cast("long").alias("b"),
-        F.lit(1).cast("int").alias("op"),
-    )
+from repro.streamsim.stream import log_to_stream
 
 
 def detect_dos(
@@ -44,5 +34,5 @@ def detect_dos(
     timestamps of the reported target.
     """
     proc = InsertionOnlyND(n_dst, d=d, c=c, seed=seed)
-    run_stream(proc, log_to_stream(log_df), batch_size=batch_size)
+    run_stream(proc, log_to_stream(log_df, "dst", "ts"), batch_size=batch_size)
     return proc.result(), proc

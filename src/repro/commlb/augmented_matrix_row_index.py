@@ -27,6 +27,7 @@ import pandas as pd
 
 from repro.commlb.protocol import simulate_one_way
 from repro.core.insertion_deletion import InsertionDeletionND
+from repro.streamsim.stream import canonical
 
 
 @dataclass
@@ -62,21 +63,18 @@ def _one_repetition(
     perms = np.stack([g.permutation(m) for _ in range(n)])
     # Alice: insert every (i, perms[i][col]) with X[i, col] == 1.
     ai, ac = np.nonzero(X)
-    alice = pd.DataFrame({"a": ai, "b": perms[ai, ac], "op": 1})
-    alice["pos"] = np.arange(len(alice), dtype=np.int64)
+    alice = canonical(pd.DataFrame({"a": ai, "b": perms[ai, ac]}))
     # Bob: delete his known 1-positions (rows != J).
     rows_b, cols_b = [], []
     for i, cols in inst.known.items():
         ones = cols[X[i, cols] == 1]
         rows_b.extend([i] * len(ones))
         cols_b.extend(perms[i, o] for o in ones)
-    bob = pd.DataFrame({"a": rows_b, "b": cols_b, "op": -1})
-    bob["pos"] = 10_000_000 + np.arange(len(bob), dtype=np.int64)
-    cols = ["pos", "a", "b", "op"]
-    types = {"pos": "int64", "a": "int64", "b": "int64", "op": "int32"}
+    pos = 10_000_000 + np.arange(len(rows_b), dtype=np.int64)
+    bob = canonical(pd.DataFrame({"pos": pos, "a": rows_b, "b": cols_b, "op": -1}))
     proc, msg = simulate_one_way(
         lambda: InsertionDeletionND(n, m, d=m // 2, c=c, seed=rep_seed + 7),
-        [alice[cols].astype(types), bob[cols].astype(types)],
+        [alice, bob],
     )
     res = proc.result()
     if res is None or res[0] != inst.J:

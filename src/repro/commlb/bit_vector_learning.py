@@ -28,6 +28,7 @@ import pandas as pd
 
 from repro.commlb.protocol import simulate_one_way
 from repro.core.insertion_only import InsertionOnlyND
+from repro.streamsim.stream import canonical
 
 
 @dataclass
@@ -70,12 +71,8 @@ def party_stream(inst: BVLInstance, party: int) -> pd.DataFrame:
         cols = 2 * k * party + 2 * np.arange(k) + bits
         rows_a.extend([int(j)] * k)
         rows_b.extend(int(c) for c in cols)
-    pdf = pd.DataFrame({"a": rows_a, "b": rows_b})
-    pdf["pos"] = party * 10_000_000 + np.arange(len(pdf), dtype=np.int64)
-    pdf["op"] = 1
-    return pdf[["pos", "a", "b", "op"]].astype(
-        {"pos": "int64", "a": "int64", "b": "int64", "op": "int32"}
-    )
+    pos = party * 10_000_000 + np.arange(len(rows_a), dtype=np.int64)
+    return canonical(pd.DataFrame({"pos": pos, "a": rows_a, "b": rows_b}))
 
 
 def decode_edge(b: int, k: int) -> tuple[int, int, int]:

@@ -19,6 +19,7 @@ import pandas as pd
 
 from repro.commlb.protocol import simulate_one_way
 from repro.core.insertion_only import InsertionOnlyND
+from repro.streamsim.stream import canonical
 
 
 @dataclass
@@ -53,12 +54,8 @@ def party_stream(inst: DisjInstance, party: int, k: int) -> pd.DataFrame:
     """Party's edges: each element connects to its private k-block."""
     a = np.repeat(inst.sets[party], k)
     b = np.tile(np.arange(k) + party * k, len(inst.sets[party]))
-    pdf = pd.DataFrame({"a": a, "b": b})
-    pdf["pos"] = party * 10_000_000 + np.arange(len(pdf), dtype=np.int64)
-    pdf["op"] = 1
-    return pdf[["pos", "a", "b", "op"]].astype(
-        {"pos": "int64", "a": "int64", "b": "int64", "op": "int32"}
-    )
+    pos = party * 10_000_000 + np.arange(len(a), dtype=np.int64)
+    return canonical(pd.DataFrame({"pos": pos, "a": a, "b": b}))
 
 
 def max_stored_neighborhood(proc: InsertionOnlyND) -> int:

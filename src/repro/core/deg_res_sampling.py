@@ -46,6 +46,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.collect import first_rows, running_rank
+from repro.streamsim.stream import check_batch
 
 _SPLITMIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_C2 = np.uint64(0x94D049BB133111EB)
@@ -142,12 +143,7 @@ class DegResSampling:
 
     def process_batch(self, batch: pd.DataFrame) -> None:
         """Standalone use: consume a micro-batch (insertion-only)."""
-        if (batch["op"].to_numpy() != 1).any():
-            raise ValueError("Deg-Res-Sampling handles insertion-only streams")
-        a = batch["a"].to_numpy()
-        if len(a) and (a.min() < 0 or a.max() >= self.n):
-            raise ValueError("A-vertex id outside [0, n)")
-        b = batch["b"].to_numpy()
+        a, b, _ = check_batch(batch, self.n, insertion_only=True)
         new_deg = self.deg[a] + running_rank(a) + 1
         self.ingest(a, b, np.flatnonzero(new_deg == self.d1))
         if self._own_deg:

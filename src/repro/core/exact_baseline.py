@@ -23,6 +23,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
 from repro.core.collect import append_grouped, first_rows
+from repro.streamsim.stream import check_batch
 
 
 class ExactND:
@@ -34,10 +35,7 @@ class ExactND:
         self.deg = np.zeros(n, dtype=np.int64)
 
     def process_batch(self, batch: pd.DataFrame) -> None:
-        if (batch["op"].to_numpy() != 1).any():
-            raise ValueError("ExactND handles insertion-only streams")
-        a = batch["a"].to_numpy()
-        b = batch["b"].to_numpy()
+        a, b, _ = check_batch(batch, self.n, insertion_only=True)
         # A vertex of degree deg already stores min(deg, d) edges.
         keys = np.unique(a)
         rows, counts = first_rows(a, keys, self.d - np.minimum(self.deg[keys], self.d))

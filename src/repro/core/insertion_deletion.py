@@ -28,8 +28,9 @@ records the choice (shape, not constants, is what reproduces).
 Sketches are linear, so the whole state is mergeable; process_batch
 order is irrelevant — which is exactly why this algorithm survives
 deletions where Algorithm 2's degree counting does not. A batch is
-rejected, before anything is hashed, unless ``0 <= a < n``,
-``0 <= b < m`` and ``op`` is ``+1`` or ``-1``.
+rejected by :func:`repro.streamsim.stream.check_batch`, before anything
+is hashed, unless ``0 <= a < n``, ``0 <= b < m`` and ``op`` is ``+1``
+or ``-1``.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.l0_sampler import L0SamplerBank
+from repro.streamsim.stream import check_batch
 
 
 class InsertionDeletionND:
@@ -77,16 +79,7 @@ class InsertionDeletionND:
     # ------------------------------------------------------------------ #
 
     def process_batch(self, batch: pd.DataFrame) -> None:
-        a = batch["a"].to_numpy(np.int64)
-        b = batch["b"].to_numpy(np.int64)
-        op = batch["op"].to_numpy(np.int64)
-        if len(a):
-            if a.min() < 0 or a.max() >= self.n:
-                raise ValueError("A-vertex id outside [0, n)")
-            if b.min() < 0 or b.max() >= self.m:
-                raise ValueError("B-vertex id outside [0, m)")
-            if (np.abs(op) != 1).any():
-                raise ValueError("op must be +1 or -1")
+        a, b, op = check_batch(batch, self.n, self.m, insertion_only=False)
         self.edge_bank.update(a * self.m + b, op)
         # each sampled vertex owns one block of the vertex bank
         slot = np.searchsorted(self.sampled_vertices, a)

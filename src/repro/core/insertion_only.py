@@ -37,6 +37,7 @@ from pyspark.sql import functions as F
 from repro.core.collect import running_rank
 from repro.core.deg_res_sampling import DegResSampling, _priority
 from repro.space import reservoir_size
+from repro.streamsim.stream import check_batch
 
 
 def run_thresholds(d: int, c: int) -> list[int]:
@@ -67,12 +68,7 @@ class InsertionOnlyND:
         self.rng = np.random.default_rng(seed)
 
     def process_batch(self, batch: pd.DataFrame) -> None:
-        if (batch["op"].to_numpy() != 1).any():
-            raise ValueError("insertion-only algorithm got a deletion")
-        a = batch["a"].to_numpy()
-        if len(a) and (a.min() < 0 or a.max() >= self.n):
-            raise ValueError("A-vertex id outside [0, n)")
-        b = batch["b"].to_numpy()
+        a, b, _ = check_batch(batch, self.n, insertion_only=True)
         new_deg = self.deg[a] + running_rank(a) + 1
         for run in self.runs:
             run.ingest(a, b, np.flatnonzero(new_deg == run.d1))

@@ -6,6 +6,7 @@ the answer, the occupied space (in words — see ``repro.space``), and a
 serializable memory state (used by the communication-protocol substrate
 in ``repro.commlb`` to measure message sizes exactly as the paper's
 reductions do: "send the resulting memory state to the next party").
+Both runners slice through :func:`repro.streamsim.stream.batches`.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Protocol, runtime_checkable
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.streamsim.stream import iter_batches
+from repro.streamsim.stream import batches, iter_batches
 
 
 @runtime_checkable
@@ -44,9 +45,8 @@ def run_stream_pandas(
     proc: StreamProcessor, pdf: pd.DataFrame, batch_size: int = 65536
 ) -> StreamProcessor:
     """Driver-side variant for already-collected streams (commlb parties)."""
-    pdf = pdf.sort_values("pos").reset_index(drop=True)
-    for lo in range(0, len(pdf), batch_size):
-        proc.process_batch(pdf.iloc[lo : lo + batch_size].reset_index(drop=True))
+    for batch in batches(pdf.sort_values("pos", kind="stable"), batch_size):
+        proc.process_batch(batch)
     return proc
 
 

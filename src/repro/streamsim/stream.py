@@ -1,16 +1,18 @@
-"""Edge-stream substrate: schema, ordering, and micro-batching.
+"""The stream boundary: the edge-stream contract, its checks, and batching.
 
-A *stream* is a Spark DataFrame with columns
+A *stream* has the columns of :data:`STREAM_DTYPES`: ``pos`` (position
+in the single-pass total order, unique), ``a`` (A-vertex: the *item*),
+``b`` (B-vertex: the *witness*) and ``op`` (``+1`` insertion, ``-1``
+deletion, turnstile only). The paper's guarantees assume one pass over
+a simple bipartite graph, so the contract is checked here and nowhere
+else (DESIGN.md § Stream boundary): :func:`canonical` builds every
+stream frame, :func:`batches` is the one slicing loop of both runners,
+and :func:`check_batch` is every processor's per-batch check.
 
-- ``pos``  (long)  — position in the single-pass total order, unique,
-- ``a``    (long)  — A-side vertex (the *item* in the witness framing),
-- ``b``    (long)  — B-side vertex (the *witness*: timestamp, user, …),
-- ``op``   (int)   — ``+1`` insertion, ``-1`` deletion (turnstile only).
-
-All ordering/batching goes through Catalyst; the sequential algorithms
-then consume pandas micro-batches **in stream order** (reservoir
-sampling is order-sequential by definition — the total order *is* the
-streaming model, see DESIGN.md § Layering).
+Spark orders the stream (Catalyst sort); the sequential algorithms then
+consume pandas micro-batches **in stream order** (reservoir sampling is
+order-sequential by definition — the total order *is* the streaming
+model, see DESIGN.md § Layering).
 """
 from __future__ import annotations
 
@@ -20,48 +22,93 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
-STREAM_COLS = ["pos", "a", "b", "op"]
+STREAM_DTYPES = {"pos": "int64", "a": "int64", "b": "int64", "op": "int32"}
+STREAM_COLS = list(STREAM_DTYPES)
+_SPARK_TYPES = {"int64": "long", "int32": "int"}
+
+
+def canonical(pdf: pd.DataFrame) -> pd.DataFrame:
+    """A stream frame in the canonical schema, checked.
+
+    ``op`` defaults to ``+1`` and ``pos`` to the row order. Raises
+    ``ValueError`` on an ``op`` outside ``{+1, -1}``, a repeated ``pos``
+    or, when every ``op`` is ``+1``, a repeated ``(a, b)`` edge.
+    """
+    n = len(pdf)
+    if "op" in pdf.columns and (np.abs(pdf["op"].to_numpy()) != 1).any():
+        raise ValueError("op must be +1 or -1")
+    # Column by column and numpy-only checks: a frame-wide copy or a
+    # pandas duplicated() raised the generators' peak memory by 30 MiB.
+    fill = {"pos": np.arange(n, dtype=np.int64), "op": np.ones(n, dtype=np.int32)}
+    out = pd.DataFrame({c: pdf[c].to_numpy(t, copy=True) if c in pdf.columns else fill[c]
+                        for c, t in STREAM_DTYPES.items()}, copy=False)
+    pos = np.sort(out["pos"].to_numpy(), kind="stable")
+    if (pos[1:] == pos[:-1]).any():
+        raise ValueError("repeated pos: the stream order is not total")
+    if (out["op"].to_numpy() == 1).all():
+        a, b = out["a"].to_numpy(), out["b"].to_numpy()
+        by_edge = np.lexsort((b, a))
+        a, b = a[by_edge], b[by_edge]
+        if ((a[1:] == a[:-1]) & (b[1:] == b[:-1])).any():
+            raise ValueError("repeated edge in an insertion-only stream")
+    return out
 
 
 def stream_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Lift a pandas edge list into the canonical stream schema."""
-    pdf = pdf.copy()
-    if "op" not in pdf.columns:
-        pdf["op"] = 1
-    if "pos" not in pdf.columns:
-        pdf["pos"] = np.arange(len(pdf), dtype=np.int64)
-    pdf = pdf[STREAM_COLS].astype(
-        {"pos": "int64", "a": "int64", "b": "int64", "op": "int32"}
+    """Lift a pandas edge list into a Spark stream (through :func:`canonical`)."""
+    return spark.createDataFrame(canonical(pdf))
+
+
+def log_to_stream(log_df: DataFrame, item: str, witness: str) -> DataFrame:
+    """Event log -> Spark stream with ``a`` = ``item`` and ``b`` = ``pos``
+    = ``witness``, a unique event id (a repeat fails in :func:`batches`)."""
+    src = {"pos": F.col(witness), "a": F.col(item), "b": F.col(witness), "op": F.lit(1)}
+    return log_df.select(
+        *(src[c].cast(_SPARK_TYPES[t]).alias(c) for c, t in STREAM_DTYPES.items())
     )
-    return spark.createDataFrame(pdf)
 
 
-def with_batch_id(df: DataFrame, batch_size: int) -> DataFrame:
-    """Assign ``batch = floor(pos / batch_size)`` via Catalyst."""
-    return df.withColumn("batch", F.floor(F.col("pos") / F.lit(batch_size)))
+def batches(pdf: pd.DataFrame, batch_size: int) -> Iterator[pd.DataFrame]:
+    """Slice a stream already sorted by ``pos`` into micro-batches."""
+    pos = pdf["pos"].to_numpy()
+    if (pos[1:] == pos[:-1]).any():
+        raise ValueError("repeated pos: the stream order is not total")
+    for lo in range(0, len(pdf), batch_size):
+        yield pdf.iloc[lo : lo + batch_size].reset_index(drop=True)
 
 
 def iter_batches(df: DataFrame, batch_size: int) -> Iterator[pd.DataFrame]:
     """Yield pandas micro-batches in stream order.
 
-    The Spark side sorts by ``pos`` (Catalyst sort); the driver slices
-    the Arrow-collected result into micro-batches. For the data sizes
-    of this reproduction (<= a few million edges) a single ordered
-    collect is the honest and fast way to impose the stream's total
-    order; batch boundaries are the micro-batch boundaries the
-    processors see.
+    Spark sorts by ``pos`` and the driver slices the Arrow-collected
+    result: for the sizes of this reproduction (<= a few million edges)
+    one ordered collect is the honest and fast way to impose the total
+    order.
     """
-    pdf = df.orderBy("pos").toPandas()
-    for lo in range(0, len(pdf), batch_size):
-        yield pdf.iloc[lo : lo + batch_size].reset_index(drop=True)
+    yield from batches(df.orderBy("pos").toPandas(), batch_size)
 
 
-def permute_stream(df: DataFrame, seed: int) -> DataFrame:
-    """Re-draw ``pos`` as a random permutation (seeded, via Catalyst)."""
-    w = F.row_number().over(Window.orderBy(F.rand(seed), F.col("a"), F.col("b")))
-    return df.withColumn("pos", (w - F.lit(1)).cast("long"))
+def check_batch(
+    batch: pd.DataFrame, n: int, m: int | None = None, *, insertion_only: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A processor's check of one micro-batch; returns its int64 ``a, b, op``.
+
+    Raises ``ValueError`` unless every ``a`` is in ``[0, n)``, every
+    ``b`` in ``[0, m)`` when ``m`` is given, and every ``op`` is ``+1``
+    (``insertion_only``) or ``±1``.
+    """
+    a = batch["a"].to_numpy(np.int64)
+    b = batch["b"].to_numpy(np.int64)
+    op = batch["op"].to_numpy(np.int64)
+    if len(a):
+        if ((op != 1) if insertion_only else (np.abs(op) != 1)).any():
+            raise ValueError("op must be +1" + ("" if insertion_only else " or -1"))
+        if a.min() < 0 or a.max() >= n:
+            raise ValueError("A-vertex id outside [0, n)")
+        if m is not None and (b.min() < 0 or b.max() >= m):
+            raise ValueError("B-vertex id outside [0, m)")
+    return a, b, op
 
 
 def final_graph(pdf: pd.DataFrame) -> pd.DataFrame:

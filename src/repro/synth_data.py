@@ -3,12 +3,14 @@
 The paper is a theory paper with no dataset; these generators produce the
 promise instances its theorems quantify over (DESIGN.md § Substitutions).
 A-vertices are items, B-vertices are witnesses; streams use the canonical
-schema of repro.streamsim.stream (pos, a, b, op). Generators are
-deterministic in ``seed``.
+schema of repro.streamsim.stream (pos, a, b, op) and are built through
+its ``canonical``. Generators are deterministic in ``seed``.
 """
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+
+from repro.streamsim.stream import canonical
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -102,21 +104,8 @@ def planted_star_pandas(
         perm = np.argsort(pdf["a"].to_numpy(), kind="stable")
     else:
         raise ValueError(f"unknown order {order!r}")
-    pdf = pdf.iloc[perm].reset_index(drop=True)
-    pdf["pos"] = np.arange(len(pdf), dtype=np.int64)
-    pdf["op"] = 1
     info = {"heavy": heavy, "n": n, "m": m, "d": d}
-    return pdf[["pos", "a", "b", "op"]].astype(
-        {"pos": "int64", "a": "int64", "b": "int64", "op": "int32"}
-    ), info
-
-
-def planted_star_stream(
-    spark: SparkSession, **kwargs
-) -> tuple[DataFrame, dict]:
-    """Spark wrapper for :func:`planted_star_pandas`."""
-    pdf, info = planted_star_pandas(**kwargs)
-    return spark.createDataFrame(pdf), info
+    return canonical(pdf.iloc[perm]), info
 
 
 def turnstile_star_pandas(
@@ -183,11 +172,8 @@ def turnstile_star_pandas(
         ],
         ignore_index=True,
     ).sort_values("t", kind="stable")
-    ev["pos"] = np.arange(len(ev), dtype=np.int64)
     info["n_churn"] = n_extra
-    return ev[["pos", "a", "b", "op"]].astype(
-        {"pos": "int64", "a": "int64", "b": "int64", "op": "int32"}
-    ).reset_index(drop=True), info
+    return canonical(ev), info
 
 
 def general_graph_pandas(

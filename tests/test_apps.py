@@ -1,10 +1,12 @@
 """Witness applications: DoS timestamps and DB hot-key users."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.apps import db_hotkeys, dos_detection
 from repro.oracle import assert_equivalent
+from repro.streamsim.stream import log_to_stream, stream_from_pandas
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +26,10 @@ def dblog(spark):
     return df.cache(), info
 
 
-def test_log_to_stream_schema(router):
+def test_log_to_stream_schema(spark, router):
     df, _ = router
-    s = dos_detection.log_to_stream(df)
-    assert s.columns == ["pos", "a", "b", "op"]
+    s = log_to_stream(df, "dst", "ts")
+    assert s.dtypes == stream_from_pandas(spark, pd.DataFrame({"a": [0], "b": [0]})).dtypes
     assert s.count() == df.count()
 
 

@@ -46,6 +46,15 @@ def test_exact_rejects_deletions():
         p.process_batch(pd.DataFrame({"pos": [0], "a": [0], "b": [0], "op": [-1]}))
 
 
+@pytest.mark.parametrize("a", [-1, 4, 100])
+def test_exact_rejects_out_of_range_vertex(a):
+    """a = -1 used to be stored under vertex n - 1 and reported by result()."""
+    p = ExactND(4, 2)
+    with pytest.raises(ValueError):
+        p.process_batch(pd.DataFrame({"pos": [0, 1], "a": [0, a], "b": [0, 1], "op": 1}))
+    assert not p.deg.any() and not p.stored
+
+
 def test_exact_space_words(inst):
     _, pdf, _ = inst
     d = 4

@@ -2,10 +2,14 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import space, synth_data
 from repro.core.insertion_only import InsertionOnlyND, run_thresholds
 from repro.streamsim.runner import run_stream_pandas
+from repro.streamsim.stream import canonical, final_graph
+from repro.tables import valid_output
 
 
 def run_on(pdf, n, d, c, seed=0, batch_size=4096):
@@ -206,3 +210,20 @@ def test_degree_array_shared_across_runs():
         assert p.deg[v] == cnt
     for r in p.runs:
         assert r.deg is p.deg
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), m=st.integers(1, 12),
+       d=st.integers(1, 10), c=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_output_valid_on_random_simple_streams(data, n, m, d, c, seed):
+    """On any simple insertion-only stream, at any batch size, a reported
+    neighbourhood holds in the final graph with at least d/c distinct
+    witnesses, and succeeded() agrees with result()."""
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                               unique=True, max_size=n * m))
+    pdf = canonical(pd.DataFrame(edges, columns=["a", "b"]))
+    batch_size = data.draw(st.integers(1, len(pdf) + 1))
+    p = run_on(pdf, n, d, c, seed=seed, batch_size=batch_size)
+    res = p.result()
+    assert p.succeeded() == (res is not None)
+    assert valid_output(final_graph(pdf), res, p.d_c)

@@ -8,16 +8,17 @@ from repro.core.deg_res_sampling import _priority
 from repro.core.insertion_only import InsertionOnlyND, _partition_pass, run_distributed
 from repro.space import reservoir_size
 from repro.streamsim.runner import run_stream_pandas
+from repro.streamsim.stream import stream_from_pandas
 from tests.test_deg_res_sampling import PerEdgeAlg1
 
 
 @pytest.fixture(scope="module")
 def instance(spark):
     n, d = 256, 32
-    df, info = synth_data.planted_star_stream(
-        spark, n=n, m=1024, d=d, avg_deg=3.0, order="random", seed=51
+    pdf, info = synth_data.planted_star_pandas(
+        n=n, m=1024, d=d, avg_deg=3.0, order="random", seed=51
     )
-    return df.cache(), info, n, d
+    return stream_from_pandas(spark, pdf).cache(), info, n, d
 
 
 def test_priority_deterministic_and_uniformish():

@@ -32,10 +32,41 @@ def test_stream_from_pandas_schema(spark):
     assert got["pos"].tolist() == [0, 1]
 
 
-def test_with_batch_id_matches_floor_division(small_stream):
-    df, pdf, _ = small_stream
-    got = ss.with_batch_id(df, 10).orderBy("pos").toPandas()
-    assert (got["batch"] == got["pos"] // 10).all()
+@pytest.mark.parametrize("bad", [
+    {"a": [1, 2], "b": [3, 4], "op": [1, 2]},
+    {"pos": [0, 0], "a": [1, 2], "b": [3, 4]},
+    {"a": [1, 2, 1], "b": [3, 4, 3]},
+], ids=["op_2", "repeated_pos", "repeated_edge"])
+def test_stream_from_pandas_rejects_broken_stream(spark, bad):
+    """Each of these used to be lifted into a stream as it was."""
+    with pytest.raises(ValueError):
+        ss.stream_from_pandas(spark, pd.DataFrame(bad))
+
+
+def test_canonical_keeps_reinserted_edge_of_turnstile_stream():
+    """An edge may come back after its deletion; only an insertion-only
+    stream must be simple."""
+    pdf = ss.canonical(pd.DataFrame({"a": [1, 1, 1], "b": [3, 3, 3], "op": [1, -1, 1]}))
+    assert list(pdf.dtypes.astype(str)) == list(ss.STREAM_DTYPES.values())
+    assert pdf["pos"].tolist() == [0, 1, 2]
+
+
+REPEATED_POS = pd.DataFrame({"pos": [0, 1, 1], "a": [0, 1, 2], "b": [0, 1, 2], "op": 1})
+
+
+def test_run_stream_pandas_rejects_repeated_pos():
+    """Rows sharing a pos used to be fed in whatever order the sort left them."""
+    p = ExactND(8, 4)
+    with pytest.raises(ValueError):
+        run_stream_pandas(p, REPEATED_POS, batch_size=1)
+    assert not p.stored
+
+
+def test_run_stream_rejects_repeated_pos(spark):
+    p = ExactND(8, 4)
+    with pytest.raises(ValueError):
+        run_stream(p, spark.createDataFrame(REPEATED_POS), batch_size=1)
+    assert not p.stored
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 64, 10_000])
@@ -53,14 +84,6 @@ def test_iter_batches_sizes(small_stream):
     batches = list(ss.iter_batches(df, 50))
     assert all(len(b) == 50 for b in batches[:-1])
     assert sum(len(b) for b in batches) == len(pdf)
-
-
-def test_permute_stream_is_permutation(small_stream):
-    df, pdf, _ = small_stream
-    out = ss.permute_stream(df, seed=5).toPandas()
-    assert sorted(out["pos"].tolist()) == list(range(len(pdf)))
-    # same multiset of edges
-    assert set(zip(out["a"], out["b"])) == set(zip(pdf["a"], pdf["b"]))
 
 
 def test_final_graph_insertion_only_is_identity(small_stream):

@@ -45,6 +45,7 @@ def test_table2_success_rates(spark):
     assert len(t2) == 2
     assert (t2["success_rate"] >= 0.8).all()
     assert (t2["mean_out_size"] >= t2["required"]).all()
+    assert (t2["valid_output"] == t2["trials"]).all()
 
 
 def test_table3_shape(spark):
