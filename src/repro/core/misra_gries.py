@@ -13,6 +13,10 @@ witnesses seen *while tracked*. When an item is evicted and later
 re-enters, its earlier witnesses are lost — exactly the failure mode
 Neighborhood Detection fixes with a guaranteed ``d/c`` witness count.
 Table 7 quantifies the gap.
+
+Both are insertion-only summaries: ``process_batch`` rejects a batch
+with an ``op`` other than ``+1`` through
+:func:`repro.streamsim.stream.check_batch`.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.collect import append_grouped, first_rows
+from repro.streamsim.stream import check_batch
 
 
 class MisraGries:
@@ -50,8 +55,9 @@ class MisraGries:
         self._shrink()
 
     def process_batch(self, batch: pd.DataFrame) -> None:
-        """Stream-schema adapter: the item is the A-vertex."""
-        self.process_items(batch["a"])
+        """Stream-schema adapter: the item is the A-vertex; insertions only."""
+        a, _, _ = check_batch(batch, None, insertion_only=True)
+        self.process_items(pd.Series(a))
 
     def estimate(self, item: int) -> int:
         return self.counters.get(int(item), 0)
@@ -88,15 +94,15 @@ class MisraGriesWitness(MisraGries):
         }
 
     def process_batch(self, batch: pd.DataFrame) -> None:
-        self.n_seen += len(batch)
-        a = batch["a"].to_numpy()
+        a, b, _ = check_batch(batch, None, insertion_only=True)
+        self.n_seen += len(a)
         keys, freq = np.unique(a, return_counts=True)
         need = []
         for item, cnt in zip(keys.tolist(), freq.tolist()):
             self.counters[item] = self.counters.get(item, 0) + cnt
             need.append(self.w - len(self.witnesses.get(item, ())))
         rows, taken = first_rows(a, keys, np.array(need, dtype=np.int64))
-        append_grouped(self.witnesses, keys, taken, batch["b"].to_numpy()[rows])
+        append_grouped(self.witnesses, keys, taken, b[rows])
         self._shrink()
 
     def witnesses_of(self, item: int) -> list[int]:

@@ -90,13 +90,13 @@ def iter_batches(df: DataFrame, batch_size: int) -> Iterator[pd.DataFrame]:
 
 
 def check_batch(
-    batch: pd.DataFrame, n: int, m: int | None = None, *, insertion_only: bool
+    batch: pd.DataFrame, n: int | None, m: int | None = None, *, insertion_only: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A processor's check of one micro-batch; returns its int64 ``a, b, op``.
 
-    Raises ``ValueError`` unless every ``a`` is in ``[0, n)``, every
-    ``b`` in ``[0, m)`` when ``m`` is given, and every ``op`` is ``+1``
-    (``insertion_only``) or ``±1``.
+    Raises ``ValueError`` unless every ``a`` is in ``[0, n)`` when ``n``
+    is given, every ``b`` in ``[0, m)`` when ``m`` is given, and every
+    ``op`` is ``+1`` (``insertion_only``) or ``±1``.
     """
     a = batch["a"].to_numpy(np.int64)
     b = batch["b"].to_numpy(np.int64)
@@ -104,7 +104,7 @@ def check_batch(
     if len(a):
         if ((op != 1) if insertion_only else (np.abs(op) != 1)).any():
             raise ValueError("op must be +1" + ("" if insertion_only else " or -1"))
-        if a.min() < 0 or a.max() >= n:
+        if n is not None and (a.min() < 0 or a.max() >= n):
             raise ValueError("A-vertex id outside [0, n)")
         if m is not None and (b.min() < 0 or b.max() >= m):
             raise ValueError("B-vertex id outside [0, m)")

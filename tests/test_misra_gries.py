@@ -110,3 +110,14 @@ def test_witness_space_accounting():
     stream = items_stream([1] * 10, witnesses=list(range(10)))
     mg = run_stream_pandas(MisraGriesWitness(k=4, w=3), stream)
     assert mg.space_words() == 2 * len(mg.counters) + 2 + 3
+
+
+@pytest.mark.parametrize(
+    "proc", [MisraGries(k=4), MisraGriesWitness(k=4, w=4)], ids=["plain", "witness"]
+)
+def test_deletion_rejected(proc):
+    """A deletion is not one more occurrence: insertion-only summaries
+    reject it instead of counting it."""
+    stream = items_stream([1, 1], witnesses=[5, 5]).assign(op=np.int32([1, -1]))
+    with pytest.raises(ValueError, match="op must be"):
+        run_stream_pandas(proc, stream)
