@@ -36,6 +36,9 @@ def main(argv: list[str]) -> None:
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        # PySpark's call-site capture for DataFrame errors imports IPython
+        # into the driver (about 26 MiB) on the first Column operator.
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )
     df = getattr(tables, f"table{n}")(spark)

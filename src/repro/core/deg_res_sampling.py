@@ -14,9 +14,10 @@ the next up-to-``d2`` incident edges are collected (the triggering edge
 included, so a vertex of final degree ``deg`` yields
 ``min(d2, deg - d1 + 1)`` neighbors). Priorities tie-break by vertex
 id, so the final members are the ``s`` smallest ``(priority, vertex)``
-pairs among the candidates, whatever their order: the distributed
-Algorithm 2 runs this class per partition and merges to the same
-sample.
+pairs among the candidates, whatever their order. That makes a run
+mergeable (:meth:`DegResSampling.merge`): runs over vertex-disjoint
+substreams join into the run over the whole stream, which is how the
+distributed Algorithm 2 combines its partitions.
 
 A micro-batch is processed in two steps. First, the reservoir
 decisions: candidates fill free slots in stream order, then one
@@ -262,8 +263,9 @@ class DegResSampling:
         return self._slots[: self._occ].tolist()
 
     def _by_entry(self, slots: np.ndarray) -> np.ndarray:
-        """``slots`` ordered by when their members entered the reservoir."""
-        return slots[np.argsort(self._entry[slots])]
+        """``slots`` by entry into the reservoir; merged parts number their
+        entries apart, so ties go by ``(priority, vertex)``."""
+        return slots[np.lexsort((self._slots[slots], self._prio[slots], self._entry[slots]))]
 
     @property
     def collected(self) -> WitnessView:
@@ -298,3 +300,28 @@ class DegResSampling:
     def space_words(self) -> int:
         own = self.n if self._own_deg else 0
         return own + self._occ + self._words + 2
+
+    def merge(self, other: "DegResSampling") -> "DegResSampling":
+        """Join a run over a vertex-disjoint substream, in place (``other``
+        is not changed). The members are the ``s`` smallest ``(priority,
+        vertex)`` pairs among the candidates, so a bottom-k sample merges
+        exactly: keep the ``s`` smallest of both, with their witnesses."""
+        if (self.n, self.d1, self.d2, self.s, self.seed, self._own_deg) != (
+                other.n, other.d1, other.d2, other.s, other.seed, other._own_deg):
+            raise ValueError("cannot merge runs with different parameters")
+        if ((self.deg > 0) & (other.deg > 0)).any():
+            raise ValueError("cannot merge runs that saw the same vertex")
+        occ = self._occ
+        cols = [np.concatenate([mine[:occ], theirs[: other._occ]]) for mine, theirs in zip(
+            (self._slots, self._prio, self._entry, self._lens),
+            (other._slots, other._prio, other._entry, other._lens))]
+        keep = np.lexsort((cols[0], cols[1]))[: self.s]
+        self._slots, self._prio, self._entry, self._lens = (col[keep] for col in cols)
+        self._wit = [self._wit[j] if j < occ else array("q", other._wit[j - occ])
+                     for j in keep.tolist()]
+        self._occ, self._words = len(keep), int(self._lens.sum())
+        self.x += other.x
+        self.peak_collected += other.peak_collected  # the parts ran side by side
+        if self._own_deg:
+            self.deg += other.deg
+        return self

@@ -17,25 +17,24 @@ sample under per-vertex hash priorities):
 - :func:`run_distributed` — a Spark variant: the stream is hash-
   partitioned on the A-vertex (Catalyst), so each partition sees all of
   a vertex's edges and its degrees are exact. Each partition runs
-  :class:`InsertionOnlyND` over its edges as one batch, and the driver
-  keeps, per run, the ``s`` members of smallest priority over all
-  partitions. A vertex in that global bottom-``s`` is in its
-  partition's bottom-``s`` from its candidate edge on, and collects the
-  same edges there, so for the same seed the merged sample and its
-  witnesses are the sequential processor's.
+  :class:`InsertionOnlyND` over its edges as one batch and ships it
+  pickled; the driver joins them with :meth:`InsertionOnlyND.merge`. A
+  vertex in the global bottom-``s`` is in its partition's bottom-``s``
+  from its candidate edge on, and collects the same edges there, so for
+  the same seed the merged processor is the sequential one.
 """
 from __future__ import annotations
 
-from itertools import chain
+import pickle
 from typing import Optional
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.collect import running_rank
-from repro.core.deg_res_sampling import DegResSampling, _priority
+from repro.core.deg_res_sampling import DegResSampling
 from repro.space import reservoir_size
 from repro.streamsim.stream import check_batch
 
@@ -53,7 +52,7 @@ class InsertionOnlyND:
     ) -> None:
         if c < 1:
             raise ValueError("c must be >= 1")
-        self.n, self.d, self.c = n, d, c
+        self.n, self.d, self.c, self.seed = n, d, c, seed
         self.d_c = max(1, d // c)
         self.s = reservoir_size(n, c) if s is None else s
         # 32-bit counters (a degree stays below 2^31): the degree array
@@ -90,6 +89,17 @@ class InsertionOnlyND:
     def space_words(self) -> int:
         return self.n + sum(r.space_words() for r in self.runs)
 
+    def merge(self, other: "InsertionOnlyND") -> "InsertionOnlyND":
+        """Join a processor over a vertex-disjoint substream, in place (see
+        :meth:`DegResSampling.merge`; run 0 refuses a shared vertex first)."""
+        if (self.n, self.d, self.c, self.s, self.seed) != (
+                other.n, other.d, other.c, other.s, other.seed):
+            raise ValueError("cannot merge processors with different parameters")
+        for mine, theirs in zip(self.runs, other.runs):
+            mine.merge(theirs)
+        self.deg += other.deg
+        return self
+
 
 # ---------------------------------------------------------------------- #
 # Distributed variant
@@ -101,28 +111,11 @@ def _partition_pass(
     """Sequential Algorithm 2 over one partition (runs inside Spark).
 
     The partition is one batch: every edge of a vertex lands in it, so
-    its degrees are exact. Emits one row per collected edge
-    ``(run, v, prio, b)`` plus one bookkeeping row per run
-    ``(run, -1, 0.0, x_partition)`` carrying the partition's candidate
-    count.
+    its degrees are exact. Emits one row holding the pickled processor.
     """
     proc = InsertionOnlyND(n, d, c, seed=seed, s=s)
     proc.process_batch(pdf.sort_values("pos", kind="stable"))
-    parts = []
-    for run_i, run in enumerate(proc.runs):
-        coll = run.collected
-        members = np.fromiter(coll, dtype=np.int64, count=len(coll))
-        wit = list(coll.values())
-        counts = [len(w) for w in wit]
-        parts.append(pd.DataFrame({
-            "run": run_i,
-            "v": np.append(np.repeat(members, counts), -1),
-            "prio": np.append(np.repeat(_priority(run.seed, members), counts), 0.0),
-            "b": np.append(np.fromiter(chain.from_iterable(wit), np.int64, sum(counts)), run.x),
-        }))
-    return pd.concat(parts, ignore_index=True).astype(
-        {"run": "int32", "v": "int64", "prio": "float64", "b": "int64"}
-    )
+    return pd.DataFrame({"blob": [pickle.dumps(proc)]})
 
 
 def run_distributed(
@@ -136,43 +129,21 @@ def run_distributed(
 ) -> dict:
     """Distributed Algorithm 2 over a Spark edge stream.
 
-    Returns ``{"result": (a, set_b) | None, "per_run": {...},
-    "space_words": int}``. Space counts the *global* state an equivalent
-    coordinated deployment holds: n degree words + per-run reservoir and
-    collected edges after the merge.
+    Returns ``{"result": (a, set_b) | None, "space_words": int, "proc":
+    InsertionOnlyND}``: the partitions' processors merged into one, its
+    draw and its space.
     """
-    d_c = max(1, d // c)
     s = reservoir_size(n, c) if s is None else s
-    parts = (
+    blobs = (
         df.withColumn("pid", F.pmod(F.col("a"), F.lit(num_partitions)))
         .groupBy("pid")
         .applyInPandas(
             lambda pdf: _partition_pass(pdf, n, d, c, s, seed),
-            schema="run int, v long, prio double, b long",
+            schema="blob binary",
         )
         .toPandas()
     )
-    rng = np.random.default_rng(seed)
-    per_run: dict[int, dict] = {}
-    winners: list[tuple[int, set[int]]] = []
-    total_words = n
-    for run_i in range(c):
-        sub = parts[parts["run"] == run_i]
-        x_total = int(sub.loc[sub["v"] == -1, "b"].sum())
-        edges = sub[sub["v"] >= 0]
-        # The reservoir's order: priority, ties by vertex id.
-        cand = (
-            edges[["v", "prio"]].drop_duplicates().sort_values(["prio", "v"]).head(s)
-        )
-        keep = set(int(v) for v in cand["v"].tolist())
-        nbrs = {
-            int(v): set(int(x) for x in g["b"].tolist())
-            for v, g in edges[edges["v"].isin(keep)].groupby("v")
-        }
-        full = {v: bs for v, bs in nbrs.items() if len(bs) >= d_c}
-        per_run[run_i] = {"x": x_total, "members": nbrs, "full": full}
-        total_words += len(nbrs) + sum(len(b) for b in nbrs.values())
-        for v, bs in full.items():
-            winners.append((v, bs))
-    result = winners[int(rng.integers(len(winners)))] if winners else None
-    return {"result": result, "per_run": per_run, "space_words": total_words}
+    merged = InsertionOnlyND(n, d, c, seed=seed, s=s)
+    for blob in blobs["blob"]:
+        merged.merge(pickle.loads(blob))
+    return {"result": merged.result(), "space_words": merged.space_words(), "proc": merged}

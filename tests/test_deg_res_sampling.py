@@ -180,6 +180,25 @@ def test_shared_degree_mode_does_not_own_degrees():
     assert p.space_words() < 8  # no degree array charged
 
 
+def test_merge_rejects_mismatched_params():
+    base = dict(n=8, d1=2, d2=3, s=2, seed=1)
+    for key, val in [("n", 9), ("d1", 3), ("d2", 4), ("s", 3), ("seed", 2)]:
+        with pytest.raises(ValueError):
+            DegResSampling(**base).merge(DegResSampling(**{**base, key: val}))
+    with pytest.raises(ValueError):  # own degrees against shared ones
+        DegResSampling(**base).merge(DegResSampling(**base, shared_degrees=np.zeros(8)))
+
+
+def test_merge_rejects_shared_vertex():
+    """The merge is exact only over vertex-disjoint substreams: a vertex
+    seen by both parts is refused and the state is left as it was."""
+    p = run_stream_pandas(DegResSampling(8, 1, 2, 2), mk_stream(star(0, 3)))
+    q = run_stream_pandas(DegResSampling(8, 1, 2, 2), mk_stream(star(0, 2, 10) + star(1, 2, 20)))
+    with pytest.raises(ValueError):
+        p.merge(q)
+    assert p.x == 1 and p.collected == {0: [0, 1]} and p.deg[0] == 3 and not p.deg[1]
+
+
 # ---------------------------------------------------------------------- #
 # The batched processor against Algorithm 1 written as the paper's loop
 # ---------------------------------------------------------------------- #

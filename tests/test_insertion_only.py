@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import space, synth_data
+from repro.core.deg_res_sampling import DegResSampling
 from repro.core.insertion_only import InsertionOnlyND, run_thresholds
 from repro.streamsim.runner import run_stream_pandas
 from repro.streamsim.stream import canonical, final_graph
@@ -227,3 +228,67 @@ def test_output_valid_on_random_simple_streams(data, n, m, d, c, seed):
     res = p.result()
     assert p.succeeded() == (res is not None)
     assert valid_output(final_graph(pdf), res, p.d_c)
+
+
+def test_merge_rejects_mismatched_params():
+    base = dict(n=16, d=8, c=2, s=3, seed=1)
+    for key, val in [("n", 17), ("d", 9), ("c", 4), ("s", 4), ("seed", 2)]:
+        with pytest.raises(ValueError):
+            InsertionOnlyND(**base).merge(InsertionOnlyND(**{**base, key: val}))
+
+
+def test_merge_rejects_shared_vertex():
+    """A vertex seen by both parts is refused before any run changes."""
+    edges = pd.DataFrame({"pos": range(6), "a": [3] * 4 + [5] * 2, "b": range(6), "op": 1})
+    p = run_on(edges[edges["a"] == 3], 16, 8, 2, seed=1)
+    q = run_on(edges, 16, 8, 2, seed=1)
+    with pytest.raises(ValueError):
+        p.merge(q)
+    assert [r.x for r in p.runs] == [1, 1] and p.deg[3] == 4 and not p.deg[5]
+    assert [r.collected for r in p.runs] == [{3: [0, 1, 2, 3]}, {3: [3]}]
+
+
+def merged(make, parts):
+    out = make()
+    for part in parts:
+        out.merge(part)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), alg2=st.booleans(), n=st.integers(1, 10), m=st.integers(1, 12),
+       d=st.integers(1, 10), c=st.integers(1, 4), s=st.integers(1, 4),
+       seed=st.integers(0, 2**16), k=st.integers(1, 5))
+def test_merge_of_vertex_parts_equals_whole_stream(data, alg2, n, m, d, c, s, seed, k):
+    """Split a simple insertion-only stream by A-vertex into k parts and
+    run each at its own batch size: merged in either order, the parts give
+    the whole-stream processor's x, collections, degrees, space and
+    success, and the two orders give the same result() draw. Checked for
+    Algorithm 2 and for a standalone Algorithm 1 run (own degrees)."""
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                               unique=True, max_size=n * m))
+    pdf = canonical(pd.DataFrame(edges, columns=["a", "b"]))
+    if alg2:
+        def make():
+            return InsertionOnlyND(n, d, c, seed=seed, s=s)
+    else:
+        d1, d2 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+
+        def make():
+            return DegResSampling(n, d1, d2, s, seed=seed)
+    whole = run_stream_pandas(make(), pdf, data.draw(st.integers(1, len(pdf) + 1)))
+    part_of = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    parts = []
+    for i in range(k):
+        sub = pdf[part_of[pdf["a"].to_numpy()] == i]
+        parts.append(run_stream_pandas(make(), sub, data.draw(st.integers(1, len(sub) + 1))))
+    fwd, rev = merged(make, parts), merged(make, parts[::-1])
+    runs = (lambda p: p.runs) if alg2 else (lambda p: [p])
+    for w, f, r in zip(runs(whole), runs(fwd), runs(rev)):
+        assert f.x == w.x
+        assert f.collected == w.collected
+        assert list(f.collected.items()) == list(r.collected.items())
+    assert (fwd.deg == whole.deg).all()
+    assert fwd.space_words() == whole.space_words()
+    assert fwd.succeeded() == whole.succeeded()
+    assert fwd.result() == rev.result()

@@ -1,4 +1,6 @@
-"""Distributed (Spark applyInPandas + bottom-k merge) Algorithm 2."""
+"""Distributed (Spark applyInPandas + processor merge) Algorithm 2."""
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -45,75 +47,81 @@ def test_distributed_finds_valid_neighborhood(instance, c):
     assert bs <= set(pdf.loc[pdf["a"] == v, "b"])
 
 
+def test_distributed_returns_perfbench_keys(instance):
+    """The benchmark reads ``result`` and ``space_words``: the merged
+    processor's draw among its full neighbourhoods, and its space."""
+    df, info, n, d = instance
+    out = run_distributed(df, n, d, 2, seed=3, num_partitions=8)
+    proc = out["proc"]
+    assert out["space_words"] == proc.space_words()
+    v, bs = out["result"]
+    assert any(v in run.collected and bs == set(run.collected[v])
+               and len(bs) >= run.d2 for run in proc.runs)
+
+
 def test_distributed_candidate_counts_exact(instance):
     """x per run must equal the true number of threshold-reaching vertices
     (degrees are exact because partitioning is by vertex)."""
     df, info, n, d = instance
-    out = run_distributed(df, n, d, 2, seed=5, num_partitions=8)
+    runs = run_distributed(df, n, d, 2, seed=5, num_partitions=8)["proc"].runs
     deg = df.toPandas().groupby("a").size()
-    assert out["per_run"][0]["x"] == (deg >= 1).sum()
-    assert out["per_run"][1]["x"] == (deg >= d // 2).sum()
+    assert runs[0].x == (deg >= 1).sum()
+    assert runs[1].x == (deg >= d // 2).sum()
 
 
 def test_distributed_reservoir_capped(instance):
     df, info, n, d = instance
     out = run_distributed(df, n, d, 2, seed=7, num_partitions=8)
     s = reservoir_size(n, 2)
-    for run in out["per_run"].values():
-        assert len(run["members"]) <= s
+    for run in out["proc"].runs:
+        assert len(run.reservoir) == len(run.collected) <= s
 
 
 def test_distributed_partition_count_invariance(instance):
-    """The bottom-k merge makes the sample independent of partitioning."""
+    """The merge makes the sample and its witnesses independent of
+    partitioning."""
     df, info, n, d = instance
-    a = run_distributed(df, n, d, 2, seed=11, num_partitions=2)
-    b = run_distributed(df, n, d, 2, seed=11, num_partitions=16)
-    for i in (0, 1):
-        assert set(a["per_run"][i]["members"]) == set(b["per_run"][i]["members"])
-        assert a["per_run"][i]["x"] == b["per_run"][i]["x"]
+    a = run_distributed(df, n, d, 2, seed=11, num_partitions=2)["proc"]
+    b = run_distributed(df, n, d, 2, seed=11, num_partitions=16)["proc"]
+    for ra, rb in zip(a.runs, b.runs):
+        assert ra.collected == rb.collected
+        assert ra.x == rb.x
+    assert a.space_words() == b.space_words()
 
 
 def test_distributed_collections_match_thresholds(instance):
-    """Each member's collected edges start at its threshold edge."""
+    """Each member's collected edges are its next d/c edges in stream
+    order, starting at its threshold edge."""
     df, info, n, d = instance
-    out = run_distributed(df, n, d, 2, seed=13, num_partitions=8)
+    run = run_distributed(df, n, d, 2, seed=13, num_partitions=8)["proc"].runs[1]
     pdf = df.toPandas().sort_values("pos")
     d1 = max(1, d // 2)
-    for v, bs in out["per_run"][1]["members"].items():
+    assert run.d1 == d1 and len(run.collected) > 0
+    for v, bs in run.collected.items():
         edges_v = pdf[pdf["a"] == v]["b"].tolist()
-        # collected is a subset of the vertex's edges from index d1-1 on
-        assert set(bs) <= set(edges_v[d1 - 1 :])
-        assert len(bs) <= d1
+        assert bs == edges_v[d1 - 1 : d1 - 1 + run.d2]
 
 
 @pytest.mark.parametrize("num_partitions", [1, 2, 8])
 def test_distributed_equals_sequential(instance, num_partitions):
     """Both modes run the same bottom-k reservoir, so for one seed and s
-    each run's x, members and witnesses are the sequential processor's."""
+    the merged processor is the sequential one: each run's x, members and
+    witnesses, the degrees, the space and success."""
     df, info, n, d = instance
     seq = run_stream_pandas(InsertionOnlyND(n, d, 4, seed=17, s=8), df.toPandas(), 128)
-    out = run_distributed(df, n, d, 4, seed=17, num_partitions=num_partitions, s=8)
-    for i, run in enumerate(seq.runs):
-        got = out["per_run"][i]
-        assert got["x"] == run.x
-        assert got["members"] == {v: set(ws) for v, ws in run.collected.items()}
-
-
-def partition_pass_loop(pdf, n, d, c, s, seed):
-    """One partition, edge by edge: each run of Algorithm 2 as the
-    per-edge bottom-k reference, emitting every member's witnesses."""
-    rows = set()
-    for run_i, run in enumerate(InsertionOnlyND(n, d, c, seed=seed, s=s).runs):
-        ref = PerEdgeAlg1(n, run.d1, run.d2, s, run.seed)
-        for a, b in zip(pdf["a"].tolist(), pdf["b"].tolist()):
-            ref.edge(a, b)
-        rows |= {(run_i, v, ref.key(v)[0], b) for v, bs in ref.coll.items() for b in bs}
-        rows.add((run_i, -1, 0.0, ref.x))
-    return rows
+    got = run_distributed(df, n, d, 4, seed=17, num_partitions=num_partitions, s=8)["proc"]
+    for run, mine in zip(seq.runs, got.runs):
+        assert mine.x == run.x
+        assert mine.collected == run.collected
+    assert (got.deg == seq.deg).all()
+    assert got.space_words() == seq.space_words()
+    assert got.succeeded() == seq.succeeded()
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_partition_pass_matches_edge_loop(seed):
+    """One partition's shipped processor against Algorithm 1's per-edge
+    loop, run by run: members, their priorities, witnesses and x."""
     g = np.random.default_rng(seed)
     m = int(g.integers(0, 300))
     s = int(g.integers(1, 8))
@@ -121,6 +129,15 @@ def test_partition_pass_matches_edge_loop(seed):
                         "b": np.arange(m), "op": 1})
     # d = 12, c = 3: thresholds 1, 4, 8 and d/c = 4 witnesses per member
     out = _partition_pass(pdf, 40, 12, 3, s=s, seed=seed)
-    got = set(zip(out["run"], out["v"], out["prio"], out["b"]))
-    assert len(got) == len(out)
-    assert got == partition_pass_loop(pdf.sort_values("pos"), 40, 12, 3, s, seed)
+    assert len(out) == 1
+    proc = pickle.loads(out["blob"][0])
+    assert [r.d1 for r in proc.runs] == [1, 4, 8]
+    edges = pdf.sort_values("pos")
+    for run in proc.runs:
+        ref = PerEdgeAlg1(40, run.d1, run.d2, s, run.seed)
+        for a, b in zip(edges["a"].tolist(), edges["b"].tolist()):
+            ref.edge(a, b)
+        assert dict(zip(run.reservoir, run._prio.tolist())) == {v: ref.key(v)[0] for v in ref.res}
+        assert run.collected == ref.coll
+        assert list(run.collected) == list(ref.coll)
+        assert run.x == ref.x
