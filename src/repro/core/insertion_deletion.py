@@ -22,8 +22,8 @@ a whole batch in one update, each edge addressed to its vertex's block.
 Output: any stored neighborhood of size ``>= d/c``, else fail.
 
 The paper's constant ``10`` in the sample counts is a proof artifact;
-the ``c0_*`` multipliers below default to 1.0 and EXPERIMENTS.md
-records the choice (shape, not constants, is what reproduces).
+the counts below use 1 and EXPERIMENTS.md records the choice (shape,
+not constants, is what reproduces).
 
 Sketches are linear, so the whole state is mergeable; process_batch
 order is irrelevant — which is exactly why this algorithm survives
@@ -47,17 +47,7 @@ from repro.streamsim.stream import check_batch
 class InsertionDeletionND:
     """Sequential/mergeable Algorithm 3 processor."""
 
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        d: int,
-        c: int,
-        seed: int = 0,
-        c0_vertex: float = 1.0,
-        c0_per_vertex: float = 1.0,
-        c0_edge: float = 1.0,
-    ) -> None:
+    def __init__(self, n: int, m: int, d: int, c: int, seed: int = 0) -> None:
         if c < 1:
             raise ValueError("c must be >= 1")
         self.n, self.m, self.d, self.c = n, m, d, c
@@ -66,14 +56,11 @@ class InsertionDeletionND:
         ln_n = math.log(max(n, 3))
         ln_nm = math.log(max(n * m, 3))
         rng = np.random.default_rng(seed)
-        n_sampled = min(n, math.ceil(c0_vertex * self.x * ln_n))
+        n_sampled = min(n, math.ceil(self.x * ln_n))
         self.sampled_vertices = np.sort(rng.choice(n, size=n_sampled, replace=False))
-        self.k_v = max(1, math.ceil(c0_per_vertex * (d / c) * ln_n))
+        self.k_v = max(1, math.ceil((d / c) * ln_n))
         self.vertex_bank = L0SamplerBank(self.k_v, dim=m, seed=seed + 1, blocks=n_sampled)
-        self.k_e = max(
-            1,
-            math.ceil(c0_edge * (n * d / c) * (1 / self.x + 1 / c) * ln_nm),
-        )
+        self.k_e = max(1, math.ceil((n * d / c) * (1 / self.x + 1 / c) * ln_nm))
         self.edge_bank = L0SamplerBank(self.k_e, dim=n * m, seed=seed + 2)
 
     # ------------------------------------------------------------------ #

@@ -222,13 +222,13 @@ class L0SamplerBank:
         return 3 * self.S0.size + 6
 
 
-def sketch_stream_spark(df: DataFrame, make_bank, value_col: str = "op") -> L0SamplerBank:
+def sketch_stream_spark(df: DataFrame, make_bank) -> L0SamplerBank:
     """Build a bank over a Spark stream via partial sketches.
 
     ``make_bank()`` must construct identically-seeded banks; each Spark
     partition sketches its rows (``mapInPandas``), the driver merges by
-    addition. Rows need columns ``idx`` (coordinate) and ``value_col``
-    (signed multiplicity delta).
+    addition. Rows need columns ``idx`` (coordinate) and ``op`` (signed
+    multiplicity delta).
     """
 
     def part(it):
@@ -237,7 +237,7 @@ def sketch_stream_spark(df: DataFrame, make_bank, value_col: str = "op") -> L0Sa
             if len(pdf):
                 bank.update(
                     pdf["idx"].to_numpy(np.int64),
-                    pdf[value_col].to_numpy(np.int64),
+                    pdf["op"].to_numpy(np.int64),
                 )
         yield pd.DataFrame({"blob": [pickle.dumps(bank)]})
 

@@ -36,14 +36,15 @@ def delta_guesses(n: int, eps: float = 1.0) -> list[int]:
     return out
 
 
-def double_cover(batch: pd.DataFrame, u_col: str = "u", v_col: str = "v") -> pd.DataFrame:
-    """Bipartite double cover of a general-graph micro-batch.
+def double_cover(batch: pd.DataFrame) -> pd.DataFrame:
+    """Bipartite double cover of a general-graph micro-batch (columns
+    ``pos, u, v`` and optionally ``op``).
 
     Each undirected edge yields ``(u,v)`` and ``(v,u)`` adjacent in the
     stream order (positions ``2*pos`` and ``2*pos + 1``).
     """
-    u = batch[u_col].to_numpy(np.int64)
-    v = batch[v_col].to_numpy(np.int64)
+    u = batch["u"].to_numpy(np.int64)
+    v = batch["v"].to_numpy(np.int64)
     pos = batch["pos"].to_numpy(np.int64)
     a = np.empty(2 * len(batch), dtype=np.int64)
     b = np.empty_like(a)

@@ -12,12 +12,16 @@ operator, built on ``applyInPandasWithState``:
   running count and witness buffer.
 
 The state is bucketed: the query groups by ``pmod(item, BUCKETS)`` and
-each bucket keeps one state row of parallel ``items``, ``counts`` and
-``witnesses`` lists. A trigger then calls the Python update once per
-bucket it touches, not once per item, and collects every item's missing
-witnesses with one :func:`repro.core.collect.first_rows` call. The price
-is that a trigger rewrites the whole state row of each bucket it
-touches, including the items of that bucket it did not see.
+each bucket's state is one ``binary`` value, the
+:func:`repro.streamsim.runner.checkpoint` of an
+:class:`repro.core.exact_baseline.ExactND` over the bucket's items — the
+exact baseline's collector, keyed by item, with ``d = w``. A trigger
+calls the Python update once per bucket it touches, not once per item:
+it restores the bucket's collector, feeds it the bucket's rows sorted by
+``ts`` as one stream batch (``pos = ts``, ``a = item``, ``b = witness``)
+and checkpoints it again. The price is that a trigger rewrites the
+whole state of each bucket it touches, including the items of that
+bucket it did not see.
 
 The query runs with as many state partitions as the session's
 ``defaultParallelism``. Spark freezes that count into the checkpoint at
@@ -38,41 +42,33 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
-from repro.core.collect import append_grouped, first_rows
+from repro.core.exact_baseline import ExactND
+from repro.streamsim.runner import checkpoint, restore
 
 EVENT_SCHEMA = "ts long, item long, witness long"
 OUTPUT_SCHEMA = "item long, count long, witnesses array<long>"
-STATE_SCHEMA = "items array<long>, counts array<long>, witnesses array<array<long>>"
+STATE_SCHEMA = "collector binary"
 # State buckets per query; a constant so that the state layout does not
 # depend on the machine that wrote the checkpoint.
 BUCKETS = 64
 
 
 def make_update_fn(w: int):
-    """Build the per-bucket state-update function (witness buffer size ``w``).
-
-    The state holds only Python ``int``s and ``list``s: Spark pickles it,
-    and a numpy scalar in it fails the query.
-    """
+    """Build the per-bucket state-update function (witness buffer size ``w``)."""
 
     def update_fn(key, pdf_iter, state: GroupState):
-        items, counts, wits = state.get if state.exists else ([], [], [])
-        count = dict(zip(items, counts))
-        wit = dict(zip(items, wits))
-        pdf = pd.concat(list(pdf_iter), ignore_index=True)
-        order = np.argsort(pdf["ts"].to_numpy(), kind="stable")
-        item = pdf["item"].to_numpy()[order]
-        keys, freq = np.unique(item, return_counts=True)
-        seen, need = keys.tolist(), []
-        for k, f in zip(seen, freq.tolist()):
-            count[k] = count.get(k, 0) + f
-            need.append(w - len(wit.setdefault(k, [])))
-        rows, taken = first_rows(item, keys, np.array(need, dtype=np.int64))
-        append_grouped(wit, keys, taken, pdf["witness"].to_numpy()[order][rows])
-        state.update((list(count), list(count.values()), [wit[k] for k in count]))
-        yield pd.DataFrame(
-            {"item": keys, "count": [count[k] for k in seen], "witnesses": [wit[k] for k in seen]}
+        proc = restore(state.get[0]) if state.exists else ExactND(None, w)
+        pdf = pd.concat(list(pdf_iter)).sort_values("ts", kind="stable", ignore_index=True)
+        proc.process_batch(
+            pd.DataFrame({"pos": pdf["ts"], "a": pdf["item"], "b": pdf["witness"], "op": 1})
         )
+        state.update((checkpoint(proc),))
+        seen = np.unique(pdf["item"]).tolist()
+        yield pd.DataFrame({
+            "item": seen,
+            "count": [proc.deg[k] for k in seen],
+            "witnesses": [proc.stored.get(k, []) for k in seen],
+        })
 
     return update_fn
 

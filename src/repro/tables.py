@@ -23,7 +23,7 @@ from repro.core.exact_baseline import ExactND
 from repro.core.insertion_deletion import InsertionDeletionND
 from repro.core.insertion_only import InsertionOnlyND
 from repro.core.l0_sampler import L0SamplerBank
-from repro.core.misra_gries import MisraGriesWitness
+from repro.core.misra_gries import MisraGries
 from repro.core.star_detection import StarDetection, double_cover
 from repro.streamsim.runner import run_stream, run_stream_pandas
 from repro.streamsim.stream import final_graph, log_to_stream
@@ -63,6 +63,9 @@ def table1(
         res = proc.result()
         out_size = len(res[1]) if res else 0
         valid = valid_output(graph, res, max(1, d // c))
+        # Theorem 3.2 bounds the peak: the degree array, then per run its
+        # members (the reservoir never shrinks) and its peak witnesses.
+        peak = n + sum(len(r.reservoir) + r.peak_collected + 2 for r in proc.runs)
         rows.append(
             {
                 "c": c,
@@ -70,7 +73,7 @@ def table1(
                 "out_size": out_size,
                 "required_d_over_c": max(1, d // c),
                 "valid_output": bool(valid),
-                "measured_words": proc.space_words(),
+                "measured_words": peak,
                 "paper_bound_words": space.thm32_words(n, d, c),
                 "exact_baseline_words": space.exact_words(n, d),
             }
@@ -403,9 +406,9 @@ def table7(
             }
         )
     # witness-augmented Misra-Gries baseline: item found, witnesses best-effort
-    mg = MisraGriesWitness(k=64, w=max(1, d // 2))
+    mg = MisraGries(k=64, w=max(1, d // 2))
     run_stream_pandas(mg, stream_pdf)
-    mg_wit = set(mg.witnesses_of(info["target"]))
+    mg_wit = mg.neighborhood(info["target"])
     rows.append(
         {
             "app": "dos",
@@ -417,16 +420,16 @@ def table7(
             "space_words": mg.space_words(),
         }
     )
-    exact = ExactND(n_dst, d)
-    run_stream_pandas(exact, stream_pdf)
+    exact = run_stream_pandas(ExactND(n_dst, d), stream_pdf)
+    res = exact.result()
     rows.append(
         {
             "app": "dos",
             "method": "exact O(nd) baseline",
-            "target_found": exact.result()[0] == info["target"],
+            "target_found": res[0] == info["target"],
             "witnesses": len(exact.neighborhood(info["target"]) & info["attack_ts"]),
             "witness_guarantee": d,
-            "witnesses_valid": True,
+            "witnesses_valid": valid_output(graph, res, d),
             "space_words": exact.space_words(),
         }
     )
@@ -459,14 +462,14 @@ def table7(
             "space_words": proc.space_words(),
         }
     )
-    mg_b = MisraGriesWitness(k=16, w=max(1, d_b // 2))
+    mg_b = MisraGries(k=16, w=max(1, d_b // 2))
     run_stream_pandas(mg_b, bl_stream, batch_size=64)  # ~element-wise MG
-    mgb_wit = set(mg_b.witnesses_of(bl_info["target"]))
+    mgb_wit = mg_b.neighborhood(bl_info["target"])
     rows.append(
         {
             "app": "dos-early-burst",
             "method": "misra-gries+witnesses k=16",
-            "target_found": bl_info["target"] in mg_b.counters,
+            "target_found": bl_info["target"] in mg_b.deg,
             "witnesses": len(mgb_wit & bl_info["attack_ts"]),
             "witness_guarantee": 0,
             "witnesses_valid": mgb_wit <= bl_info["attack_ts"],

@@ -52,7 +52,7 @@ def test_exact_rejects_out_of_range_vertex(a):
     p = ExactND(4, 2)
     with pytest.raises(ValueError):
         p.process_batch(pd.DataFrame({"pos": [0, 1], "a": [0, a], "b": [0, 1], "op": 1}))
-    assert not p.deg.any() and not p.stored
+    assert not p.deg and not p.stored
 
 
 def test_exact_space_words(inst):

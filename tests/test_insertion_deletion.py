@@ -14,10 +14,8 @@ from repro.streamsim.runner import run_stream_pandas
 from repro.streamsim.stream import final_graph
 
 
-def run_on(pdf, n, m, d, c, seed=0, **kw):
-    return run_stream_pandas(
-        InsertionDeletionND(n, m, d, c, seed=seed, **kw), pdf, batch_size=4096
-    )
+def run_on(pdf, n, m, d, c, seed=0):
+    return run_stream_pandas(InsertionDeletionND(n, m, d, c, seed=seed), pdf, batch_size=4096)
 
 
 @pytest.fixture(scope="module")
@@ -231,14 +229,6 @@ def test_space_tracks_thm54_shape():
         meas = InsertionDeletionND(256, 512, 32, c).space_words()
         bound = space.thm54_words(256, 32, c)
         assert bound / 64 <= meas <= bound * 64
-
-
-def test_constant_multipliers_shrink_state():
-    big = InsertionDeletionND(128, 256, 16, 4)
-    small = InsertionDeletionND(
-        128, 256, 16, 4, c0_vertex=0.5, c0_per_vertex=0.5, c0_edge=0.5
-    )
-    assert small.space_words() < big.space_words()
 
 
 def test_fail_reported_when_graph_empty():

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from repro.core.exact_baseline import ExactND
+from repro.core.misra_gries import MisraGries
 from repro.streamsim import structured as st
+from repro.streamsim.runner import restore, run_stream_pandas
 
 _QUERY_N = [0]
 
@@ -97,9 +100,25 @@ class FakeState:
         self.exists, self.get = True, tuple(value)
 
 
-def _plain(v):
-    """Only Python ints, in Python lists at any depth."""
-    return all(map(_plain, v)) if type(v) is list else type(v) is int
+def _collected(proc):
+    """Each key's count and witnesses in an exact collector."""
+    return {k: (c, proc.stored.get(k, [])) for k, c in proc.deg.items()}
+
+
+def _state_collected(states):
+    """The per-key collection of every bucket's state: one checkpointed
+    collector each."""
+    got = {}
+    for state in states.values():
+        assert len(state.get) == 1 and type(state.get[0]) is bytes
+        got.update(_collected(restore(state.get[0])))
+    return got
+
+
+def _oracle(events, w):
+    """Per item, pandas' count and first ``w`` witnesses by ``ts``."""
+    by_ts = events.sort_values("ts", kind="stable").groupby("item")
+    return {int(i): (len(g), g["witness"].head(w).tolist()) for i, g in by_ts}
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,8 +126,8 @@ def _plain(v):
 def test_update_fn_matches_pandas_oracle(data):
     """Random events in random micro-batches, buckets and Arrow-style
     chunks: the state ends at pandas' counts and first-w witnesses by
-    ts, each trigger emits exactly the items it saw, and the state holds
-    only Python ints and lists."""
+    ts, each trigger emits exactly the items it saw, and each bucket's
+    state is one checkpointed collector."""
     n = data.draw(hst.integers(1, 60), label="events")
     w = data.draw(hst.integers(1, 5), label="w")
     n_buckets = data.draw(hst.integers(1, 4), label="buckets")
@@ -132,15 +151,38 @@ def test_update_fn_matches_pandas_oracle(data):
             chunks = [rows.iloc[:cut], rows.iloc[cut:]] if cut < len(rows) else [rows]
             state = states.setdefault(bucket, FakeState())
             emitted.extend(update_fn((bucket,), iter(chunks), state))
-            assert len(state.get) == 3 and _plain(list(state.get))
         out = pd.concat(emitted, ignore_index=True)
         assert sorted(out["item"].tolist()) == sorted(set(trigger["item"].tolist()))
-    got = {}
-    for state in states.values():
-        items_, counts, wits = state.get
-        got.update({i: (c, wt) for i, c, wt in zip(items_, counts, wits)})
-    by_ts = events.sort_values("ts", kind="stable").groupby("item")
-    expect = {
-        int(i): (len(g), g["witness"].head(w).tolist()) for i, g in by_ts
-    }
-    assert got == expect
+    assert _state_collected(states) == _oracle(events, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hst.data())
+def test_exact_collectors_match_pandas_oracle(data):
+    """ExactND over unbounded keys, Misra-Gries with a counter to spare
+    for every key, and the operator's update function are one collector:
+    on a random insertion-only stream at a random batch size and bucket
+    split, each ends at pandas' counts and first-w witnesses by pos."""
+    n = data.draw(hst.integers(1, 80), label="edges")
+    w = data.draw(hst.integers(0, 5), label="w")
+    pos = sorted(data.draw(hst.lists(hst.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
+    stream = pd.DataFrame({
+        "pos": np.int64(pos),
+        "a": np.int64(data.draw(hst.lists(hst.integers(-3, 9), min_size=n, max_size=n))),
+        "b": np.int64(data.draw(hst.lists(hst.integers(0, 20), min_size=n, max_size=n))),
+        "op": np.int32(1),
+    })
+    expect = _oracle(stream.rename(columns={"pos": "ts", "a": "item", "b": "witness"}), w)
+    batch_size = data.draw(hst.integers(1, n), label="batch")
+    exact = run_stream_pandas(ExactND(None, w), stream, batch_size)
+    assert _collected(exact) == expect
+    k = len(expect) + data.draw(hst.integers(0, 3), label="spare counters")
+    mg = run_stream_pandas(MisraGries(k, w), stream, batch_size)
+    assert _collected(mg) == expect and mg.error_bound() == 0
+    n_buckets = data.draw(hst.integers(1, 4), label="buckets")
+    events = pd.DataFrame({"ts": stream["pos"], "item": stream["a"], "witness": stream["b"]})
+    update_fn, states = st.make_update_fn(w), {}
+    for bucket, rows in events.groupby(events["item"] % n_buckets):
+        states[bucket] = FakeState()
+        list(update_fn((bucket,), iter([rows]), states[bucket]))
+    assert _state_collected(states) == expect
