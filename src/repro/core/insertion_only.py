@@ -14,9 +14,9 @@ sample under per-vertex hash priorities):
   rank among its vertex's rows
   (:func:`repro.core.collect.running_rank`), then lets each run ingest
   the batch.
-- :func:`run_distributed` — a Spark variant: the stream is hash-
-  partitioned on the A-vertex (Catalyst), so each partition sees all of
-  a vertex's edges and its degrees are exact. Each partition runs
+- :func:`run_distributed` — a Spark variant: one hash ``repartition``
+  on the A-vertex, so each partition sees all of a vertex's edges and
+  its degrees are exact. Each partition (``mapInPandas``) runs
   :class:`InsertionOnlyND` over its edges as one batch and ships it
   pickled; the driver joins them with :meth:`InsertionOnlyND.merge`. A
   vertex in the global bottom-``s`` is in its partition's bottom-``s``
@@ -26,17 +26,16 @@ sample under per-vertex hash priorities):
 from __future__ import annotations
 
 import pickle
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.collect import running_rank
 from repro.core.deg_res_sampling import DegResSampling
 from repro.space import reservoir_size
-from repro.streamsim.stream import check_batch
+from repro.streamsim.stream import check_batch, in_stream_order
 
 
 def run_thresholds(d: int, c: int) -> list[int]:
@@ -114,8 +113,18 @@ def _partition_pass(
     its degrees are exact. Emits one row holding the pickled processor.
     """
     proc = InsertionOnlyND(n, d, c, seed=seed, s=s)
-    proc.process_batch(pdf.sort_values("pos", kind="stable"))
+    proc.process_batch(in_stream_order(pdf))
     return pd.DataFrame({"blob": [pickle.dumps(proc)]})
+
+
+def _map_partition(
+    frames: Iterator[pd.DataFrame], n: int, d: int, c: int, s: int, seed: int
+) -> Iterator[pd.DataFrame]:
+    """``mapInPandas`` body: one :func:`_partition_pass` over the whole
+    partition, nothing for an empty one."""
+    frames = list(frames)
+    if sum(map(len, frames)):
+        yield _partition_pass(pd.concat(frames, ignore_index=True), n, d, c, s, seed)
 
 
 def run_distributed(
@@ -135,10 +144,9 @@ def run_distributed(
     """
     s = reservoir_size(n, c) if s is None else s
     blobs = (
-        df.withColumn("pid", F.pmod(F.col("a"), F.lit(num_partitions)))
-        .groupBy("pid")
-        .applyInPandas(
-            lambda pdf: _partition_pass(pdf, n, d, c, s, seed),
+        df.repartition(num_partitions, "a")
+        .mapInPandas(
+            lambda frames: _map_partition(frames, n, d, c, s, seed),
             schema="blob binary",
         )
         .toPandas()

@@ -16,7 +16,7 @@ from typing import Protocol, runtime_checkable
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.streamsim.stream import batches, iter_batches
+from repro.streamsim.stream import batches, in_stream_order, iter_batches
 
 
 @runtime_checkable
@@ -45,7 +45,7 @@ def run_stream_pandas(
     proc: StreamProcessor, pdf: pd.DataFrame, batch_size: int = 65536
 ) -> StreamProcessor:
     """Driver-side variant for already-collected streams (commlb parties)."""
-    for batch in batches(pdf.sort_values("pos", kind="stable"), batch_size):
+    for batch in batches(in_stream_order(pdf), batch_size):
         proc.process_batch(batch)
     return proc
 

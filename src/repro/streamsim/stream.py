@@ -9,10 +9,11 @@ else (DESIGN.md § Stream boundary): :func:`canonical` builds every
 stream frame, :func:`batches` is the one slicing loop of both runners,
 and :func:`check_batch` is every processor's per-batch check.
 
-Spark orders the stream (Catalyst sort); the sequential algorithms then
-consume pandas micro-batches **in stream order** (reservoir sampling is
-order-sequential by definition — the total order *is* the streaming
-model, see DESIGN.md § Layering).
+Spark ingests and collects the stream; the driver orders the collected
+rows by ``pos`` (:func:`in_stream_order`), and the sequential algorithms
+then consume pandas micro-batches **in stream order** (reservoir
+sampling is order-sequential by definition — the total order *is* the
+streaming model, see DESIGN.md § Layering).
 """
 from __future__ import annotations
 
@@ -69,6 +70,12 @@ def log_to_stream(log_df: DataFrame, item: str, witness: str) -> DataFrame:
     )
 
 
+def in_stream_order(pdf: pd.DataFrame) -> pd.DataFrame:
+    """The stream's rows sorted by ``pos``: the one ordering step of both
+    runners and of a distributed partition."""
+    return pdf.sort_values("pos", kind="stable")
+
+
 def batches(pdf: pd.DataFrame, batch_size: int) -> Iterator[pd.DataFrame]:
     """Slice a stream already sorted by ``pos`` into micro-batches."""
     pos = pdf["pos"].to_numpy()
@@ -81,12 +88,12 @@ def batches(pdf: pd.DataFrame, batch_size: int) -> Iterator[pd.DataFrame]:
 def iter_batches(df: DataFrame, batch_size: int) -> Iterator[pd.DataFrame]:
     """Yield pandas micro-batches in stream order.
 
-    Spark sorts by ``pos`` and the driver slices the Arrow-collected
-    result: for the sizes of this reproduction (<= a few million edges)
-    one ordered collect is the honest and fast way to impose the total
-    order.
+    Spark collects the stream unordered (one Arrow ``toPandas``) and the
+    driver sorts it by ``pos`` and slices it. Every row reaches the
+    driver anyway; a Catalyst range sort would add a sampling job and a
+    shuffle, where the driver sort is one numpy argsort.
     """
-    yield from batches(df.orderBy("pos").toPandas(), batch_size)
+    yield from batches(in_stream_order(df.toPandas()), batch_size)
 
 
 def check_batch(

@@ -1,4 +1,5 @@
-"""Distributed (Spark applyInPandas + processor merge) Algorithm 2."""
+"""Distributed Algorithm 2: a hash repartition on the A-vertex, mapInPandas
+per partition, and a driver-side processor merge."""
 import pickle
 
 import numpy as np
@@ -116,6 +117,42 @@ def test_distributed_equals_sequential(instance, num_partitions):
     assert (got.deg == seq.deg).all()
     assert got.space_words() == seq.space_words()
     assert got.succeeded() == seq.succeeded()
+
+
+def assert_same_processor(got, want):
+    """Algorithm 2 processors agree in each run's x and witnesses, the
+    degrees, the space and success."""
+    for mine, run in zip(got.runs, want.runs):
+        assert mine.x == run.x
+        assert mine.collected == run.collected
+    assert (got.deg == want.deg).all()
+    assert got.space_words() == want.space_words()
+    assert got.succeeded() == want.succeeded()
+
+
+def test_distributed_with_empty_partitions_equals_sequential(spark):
+    """16 partitions over 3 vertices: at least 13 partitions are empty
+    and add nothing to the merge."""
+    g = np.random.default_rng(5)
+    a = np.repeat([1, 4, 6], [9, 5, 2])
+    pdf = pd.DataFrame({"pos": g.permutation(len(a)), "a": a,
+                        "b": np.arange(len(a)), "op": 1})
+    df = stream_from_pandas(spark, pdf)
+    seq = run_stream_pandas(InsertionOnlyND(8, 8, 2, seed=9, s=2), pdf, 4)
+    got = run_distributed(df, 8, 8, 2, seed=9, num_partitions=16, s=2)["proc"]
+    assert got.succeeded()
+    assert_same_processor(got, seq)
+
+
+def test_distributed_over_reverse_pos_frame_equals_sequential(spark, instance):
+    """Rows arriving in reverse stream order: each partition orders its
+    own edges by pos."""
+    df, info, n, d = instance
+    pdf = df.toPandas()
+    rev = spark.createDataFrame(pdf.sort_values("pos", ascending=False))
+    seq = run_stream_pandas(InsertionOnlyND(n, d, 4, seed=19, s=8), pdf, 128)
+    got = run_distributed(rev, n, d, 4, seed=19, num_partitions=4, s=8)["proc"]
+    assert_same_processor(got, seq)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,10 +1,12 @@
-"""Stream substrate: Catalyst batching/ordering, runner, serialization."""
+"""Stream substrate: Spark collect, driver-side ordering and batching, runner,
+serialization."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro import synth_data
 from repro.core.exact_baseline import ExactND
+from repro.core.insertion_only import InsertionOnlyND
 from repro.oracle import assert_equivalent
 from repro.streamsim import stream as ss
 from repro.streamsim.runner import (
@@ -13,6 +15,7 @@ from repro.streamsim.runner import (
     run_stream,
     run_stream_pandas,
 )
+from tests.test_insertion_only_distributed import assert_same_processor
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +126,46 @@ def test_run_stream_matches_run_stream_pandas(small_stream, batch_size):
     p1 = run_stream(ExactND(64, 16), df, batch_size=batch_size)
     p2 = run_stream_pandas(ExactND(64, 16), pdf, batch_size=batch_size)
     assert p1.stored == p2.stored
+
+
+@pytest.fixture(scope="module")
+def shuffled_stream(spark, small_stream):
+    """The same stream with its rows out of ``pos`` order within and
+    across five partitions, so only the driver's sort can order it."""
+    _, pdf, _ = small_stream
+    df = spark.createDataFrame(pdf.sample(frac=1, random_state=0)).repartition(5)
+    assert df.rdd.getNumPartitions() == 5
+    assert not df.toPandas()["pos"].is_monotonic_increasing
+    return df, pdf
+
+
+def test_iter_batches_orders_shuffled_stream(shuffled_stream):
+    df, pdf = shuffled_stream
+    seen = pd.concat(list(ss.iter_batches(df, 37)), ignore_index=True)
+    pd.testing.assert_frame_equal(
+        seen, pdf.sort_values("pos").reset_index(drop=True), check_dtype=False
+    )
+
+
+def test_run_stream_of_shuffled_stream_matches_run_stream_pandas(shuffled_stream):
+    """Algorithm 2's reservoir and witnesses depend on the order, so an
+    unordered collect fed as it came would give another processor."""
+    df, pdf = shuffled_stream
+    got = run_stream(InsertionOnlyND(64, 16, 2, seed=3, s=4), df, batch_size=29)
+    want = run_stream_pandas(InsertionOnlyND(64, 16, 2, seed=3, s=4), pdf, batch_size=29)
+    assert_same_processor(got, want)
+
+
+def test_run_stream_rejects_repeated_pos_across_partitions(spark):
+    """The two rows with pos 1 sit in different partitions, so they only
+    meet after the driver's sort."""
+    rows = spark.sparkContext.parallelize(REPEATED_POS.iloc[[1, 0, 2]].values.tolist(), 2)
+    df = spark.createDataFrame(rows, list(REPEATED_POS.columns))
+    assert [[r.pos for r in part] for part in df.rdd.glom().collect()] == [[1], [0, 1]]
+    p = ExactND(8, 4)
+    with pytest.raises(ValueError):
+        run_stream(p, df, batch_size=1)
+    assert not p.stored
 
 
 def test_checkpoint_restore_roundtrip(small_stream):
