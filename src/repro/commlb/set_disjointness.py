@@ -58,13 +58,6 @@ def party_stream(inst: DisjInstance, party: int, k: int) -> pd.DataFrame:
     return canonical(pd.DataFrame({"pos": pos, "a": a, "b": b}))
 
 
-def max_stored_neighborhood(proc: InsertionOnlyND) -> int:
-    """Largest neighborhood any run of Algorithm 2 holds."""
-    return max(
-        (len(bs) for r in proc.runs for bs in r.collected.values()), default=0
-    )
-
-
 def solve_with_algorithm(
     inst: DisjInstance, k: int, c: int, seed: int = 0
 ) -> dict:
@@ -79,7 +72,7 @@ def solve_with_algorithm(
     proc, max_msg = simulate_one_way(
         lambda: InsertionOnlyND(inst.n, d=d, c=c, seed=seed), streams
     )
-    biggest = max_stored_neighborhood(proc)
+    biggest = max(map(len, proc.neighborhoods().values()), default=0)
     decision = biggest > k
     return {
         "decision_intersecting": decision,

@@ -13,13 +13,6 @@ operator (:mod:`repro.streamsim.structured`) is one checkpointed
 ``ExactND(None, w)``. With ``n`` given, ids are checked against
 ``[0, n)`` and the degree array is charged ``n`` words, as in the
 paper; without it, any integer is a key and each key costs two words.
-
-Two implementations that must agree (tested against each other and the
-DuckDB oracle):
-
-- :class:`ExactND` — sequential stream processor;
-- :func:`exact_nd_spark` — a pure Catalyst window query
-  (``row_number() over (partition by a order by pos) <= d``).
 """
 from __future__ import annotations
 
@@ -27,10 +20,6 @@ from typing import Optional
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql.window import Window
-
 from repro.core.collect import append_grouped, first_rows
 from repro.streamsim.stream import check_batch
 
@@ -71,26 +60,3 @@ class ExactND:
         counters = 2 * len(self.deg) if self.n is None else self.n
         return counters + sum(len(v) for v in self.stored.values())
 
-
-def exact_nd_spark(df: DataFrame, d: int) -> DataFrame:
-    """Catalyst version: first ``d`` edges per A-vertex, in stream order.
-
-    Returns columns ``a, b`` — the stored edge set of the exact baseline.
-    """
-    w = Window.partitionBy("a").orderBy("pos")
-    return (
-        df.withColumn("rn", F.row_number().over(w))
-        .where(F.col("rn") <= d)
-        .select("a", "b")
-    )
-
-
-def degrees_spark(df: DataFrame) -> DataFrame:
-    """Net degree per A-vertex via Catalyst (handles turnstile ops)."""
-    return df.groupBy("a").agg(F.sum("op").cast("long").alias("deg"))
-
-
-def max_degree_spark(df: DataFrame) -> tuple[int, int]:
-    """``(argmax_a, Delta)`` of the (net) degree distribution."""
-    row = degrees_spark(df).orderBy(F.desc("deg"), F.asc("a")).first()
-    return int(row["a"]), int(row["deg"])

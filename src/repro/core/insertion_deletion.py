@@ -84,7 +84,7 @@ class InsertionDeletionND:
             nbrs.setdefault(v, set()).add(coord)
         return nbrs
 
-    def recovered_neighborhoods(self) -> dict[int, set[int]]:
+    def neighborhoods(self) -> dict[int, set[int]]:
         """Distinct recovered edges grouped by A-vertex, both strategies."""
         nbrs = self.vertex_neighborhoods()
         rec = self.edge_bank.sample_all()
@@ -94,7 +94,7 @@ class InsertionDeletionND:
 
     def result(self) -> Optional[tuple[int, set[int]]]:
         """Largest stored neighborhood if it reaches ``d/c``, else None."""
-        nbrs = self.recovered_neighborhoods()
+        nbrs = self.neighborhoods()
         if not nbrs:
             return None
         v, bs = max(nbrs.items(), key=lambda kv: (len(kv[1]), -kv[0]))

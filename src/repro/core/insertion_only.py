@@ -85,6 +85,16 @@ class InsertionOnlyND:
     def succeeded(self) -> bool:
         return any(r.succeeded() for r in self.runs)
 
+    def neighborhoods(self) -> dict[int, set[int]]:
+        """Per vertex, the largest witness set any run collected."""
+        out: dict[int, set[int]] = {}
+        for r in self.runs:
+            for v, ws in r.collected.items():
+                bs = set(ws)
+                if len(bs) > len(out.get(v, ())):
+                    out[v] = bs
+        return out
+
     def space_words(self) -> int:
         return self.n + sum(r.space_words() for r in self.runs)
 

@@ -100,17 +100,8 @@ class StarDetection:
         """Largest star any guess found."""
         best: Optional[tuple[int, set[int]]] = None
         for run in self.runs:
-            # Inspect every stored full neighborhood, not just one draw.
-            if isinstance(run, InsertionOnlyND):
-                cands = [
-                    (v, set(bs))
-                    for r in run.runs
-                    for v, bs in r.collected.items()
-                    if len(bs) >= 1
-                ]
-            else:
-                cands = [(v, bs) for v, bs in run.recovered_neighborhoods().items()]
-            for v, bs in cands:
+            # Inspect every stored neighborhood, not just one draw.
+            for v, bs in run.neighborhoods().items():
                 if best is None or len(bs) > len(best[1]):
                     best = (v, bs)
         return best

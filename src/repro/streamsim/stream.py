@@ -7,7 +7,9 @@ deletion, turnstile only). The paper's guarantees assume one pass over
 a simple bipartite graph, so the contract is checked here and nowhere
 else (DESIGN.md § Stream boundary): :func:`canonical` builds every
 stream frame, :func:`batches` is the one slicing loop of both runners,
-and :func:`check_batch` is every processor's per-batch check.
+:func:`check_batch` is every processor's per-batch check, and
+:class:`FinalGraph` is the one check of a reported neighbourhood
+against the graph the stream leaves.
 
 Spark ingests and collects the stream; the driver orders the collected
 rows by ``pos`` (:func:`in_stream_order`), and the sequential algorithms
@@ -118,13 +120,32 @@ def check_batch(
     return a, b, op
 
 
-def final_graph(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Materialise the graph described by a (possibly turnstile) stream.
+class FinalGraph:
+    """The graph a (possibly turnstile) stream leaves, and the one check
+    of a reported neighbourhood against it.
 
-    Returns the distinct ``(a, b)`` pairs whose net multiplicity is
-    positive — for insertion-only simple streams this is just the edge
-    list.
+    Holds the distinct ``(a, b)`` pairs whose net multiplicity is
+    positive, as int64 arrays ``a`` and ``b`` sorted by ``(a, b)``; for
+    an insertion-only simple stream this is just the edge list.
     """
-    net = pdf.groupby(["a", "b"])["op"].sum()
-    alive = net[net > 0].reset_index()[["a", "b"]]
-    return alive.reset_index(drop=True)
+
+    def __init__(self, pdf: pd.DataFrame) -> None:
+        net = pdf.groupby(["a", "b"])["op"].sum()  # sorted by (a, b)
+        alive = net[net > 0].index
+        self.a = alive.get_level_values("a").to_numpy(np.int64)
+        self.b = alive.get_level_values("b").to_numpy(np.int64)
+
+    def neighbours(self, v: int) -> np.ndarray:
+        """``v``'s neighbours, sorted."""
+        lo, hi = np.searchsorted(self.a, v, "left"), np.searchsorted(self.a, v, "right")
+        return self.b[lo:hi]
+
+    def valid(self, res: tuple[int, set[int]] | None, d_c: int) -> bool:
+        """Whether a reported neighbourhood holds: at least ``d_c``
+        distinct witnesses, every one a neighbour of the reported
+        vertex. No output (a failure) is not an invalid one."""
+        if res is None:
+            return True
+        v, witnesses = res
+        witnesses = set(witnesses)
+        return len(witnesses) >= d_c and witnesses <= set(self.neighbours(v).tolist())

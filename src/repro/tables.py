@@ -26,23 +26,12 @@ from repro.core.l0_sampler import L0SamplerBank
 from repro.core.misra_gries import MisraGries
 from repro.core.star_detection import StarDetection, double_cover
 from repro.streamsim.runner import run_stream, run_stream_pandas
-from repro.streamsim.stream import final_graph, log_to_stream
+from repro.streamsim.stream import FinalGraph, log_to_stream
 
 
 # ---------------------------------------------------------------------- #
 # Table 1 — insertion-only space & approximation vs c (Theorem 3.2)
 # ---------------------------------------------------------------------- #
-
-def valid_output(graph: pd.DataFrame, res: tuple[int, set[int]] | None, d_c: int) -> bool:
-    """Whether a reported neighborhood holds in the stream's final graph:
-    at least ``d_c`` distinct witnesses, every one a neighbour of the
-    reported vertex. No output (a failure) is not an invalid one."""
-    if res is None:
-        return True
-    v, witnesses = res
-    nbrs = set(graph.loc[graph["a"] == v, "b"].tolist())
-    return len(set(witnesses)) >= d_c and set(witnesses) <= nbrs
-
 
 def table1(
     spark: SparkSession,
@@ -56,13 +45,12 @@ def table1(
     pdf, _ = synth_data.planted_star_pandas(
         n=n, m=4 * n, d=d, avg_deg=avg_deg, order="random", seed=seed
     )
-    df, graph = spark.createDataFrame(pdf), final_graph(pdf)
+    df, graph = spark.createDataFrame(pdf), FinalGraph(pdf)
     rows = []
     for c in cs:
         proc = run_stream(InsertionOnlyND(n, d, c, seed=seed + c), df, batch_size)
         res = proc.result()
         out_size = len(res[1]) if res else 0
-        valid = valid_output(graph, res, max(1, d // c))
         # Theorem 3.2 bounds the peak: the degree array, then per run its
         # members (the reservoir never shrinks) and its peak witnesses.
         peak = n + sum(len(r.reservoir) + r.peak_collected + 2 for r in proc.runs)
@@ -72,7 +60,7 @@ def table1(
                 "success": proc.succeeded(),
                 "out_size": out_size,
                 "required_d_over_c": max(1, d // c),
-                "valid_output": bool(valid),
+                "valid_output": graph.valid(res, proc.d_c),
                 "measured_words": peak,
                 "paper_bound_words": space.thm32_words(n, d, c),
                 "exact_baseline_words": space.exact_words(n, d),
@@ -98,7 +86,7 @@ def table2(
     seed: int = 0,
 ) -> pd.DataFrame:
     """``valid_output`` counts the trials whose output holds in the final
-    graph (:func:`valid_output`); a failed trial counts as valid."""
+    graph (:meth:`FinalGraph.valid`); a failed trial counts as valid."""
     rows = []
     for order in orderings:
         for profile in profiles:
@@ -121,7 +109,7 @@ def table2(
                 if res is not None:
                     ok += 1
                     sizes.append(len(res[1]))
-                valid += valid_output(final_graph(pdf), res, proc.d_c)
+                valid += FinalGraph(pdf).valid(res, proc.d_c)
             rows.append(
                 {
                     "ordering": order,
@@ -156,7 +144,7 @@ def table3(
         pdf, info = synth_data.turnstile_star_pandas(
             n=n, m=m, d=d, n_heavy=n_heavy, avg_deg=3.0, churn=0.5, seed=seed
         )
-        graph = final_graph(pdf)
+        graph = FinalGraph(pdf)
         for c in cs:
             proc = run_stream_pandas(
                 InsertionDeletionND(n, m, d, c, seed=seed + c), pdf
@@ -174,7 +162,7 @@ def table3(
                     "success": res is not None,
                     "out_size": len(res[1]) if res else 0,
                     "required_d_over_c": proc.d_c,
-                    "valid_output": valid_output(graph, res, proc.d_c),
+                    "valid_output": graph.valid(res, proc.d_c),
                     "vertex_strategy_ok": bool(vertex_ok),
                     "measured_words": proc.space_words(),
                     "paper_bound_words": round(space.thm54_words(n, d, c)),
@@ -338,7 +326,7 @@ def table6(
                 "n": n,
                 "true_delta": info["delta"],
                 "found_star": found,
-                "valid_output": valid_output(final_graph(double_cover(pdf)), res, 1),
+                "valid_output": FinalGraph(double_cover(pdf)).valid(res, 1),
                 "approx_ratio": info["delta"] / max(found, 1),
                 "paper_guarantee": (1 + sd.eps) * sd.c,
                 "measured_words": sd.space_words(),
@@ -360,7 +348,7 @@ def table6(
             "n": n,
             "true_delta": info["delta"],
             "found_star": found,
-            "valid_output": valid_output(final_graph(double_cover(pdf)), res, 1),
+            "valid_output": FinalGraph(double_cover(pdf)).valid(res, 1),
             "approx_ratio": info["delta"] / max(found, 1),
             "paper_guarantee": 2 * 4.0,
             "measured_words": sd.space_words(),
@@ -391,7 +379,7 @@ def table7(
     log_df = log_df.cache()
     d = int(n_events * attack_frac)
     stream_pdf = log_to_stream(log_df, "dst", "ts").toPandas()
-    graph = final_graph(stream_pdf)
+    graph = FinalGraph(stream_pdf)
     for c in cs:
         res, proc = dos_detection.detect_dos(log_df, n_dst, d, c, seed=seed)
         rows.append(
@@ -401,7 +389,7 @@ def table7(
                 "target_found": res is not None and res[0] == info["target"],
                 "witnesses": len(res[1]) if res else 0,
                 "witness_guarantee": max(1, d // c),
-                "witnesses_valid": res is not None and valid_output(graph, res, d // c),
+                "witnesses_valid": res is not None and graph.valid(res, d // c),
                 "space_words": proc.space_words(),
             }
         )
@@ -429,7 +417,7 @@ def table7(
             "target_found": res[0] == info["target"],
             "witnesses": len(exact.neighborhood(info["target"]) & info["attack_ts"]),
             "witness_guarantee": d,
-            "witnesses_valid": valid_output(graph, res, d),
+            "witnesses_valid": graph.valid(res, d),
             "space_words": exact.space_words(),
         }
     )
@@ -458,7 +446,7 @@ def table7(
             "witnesses": len(res[1] & bl_info["attack_ts"]) if res else 0,
             "witness_guarantee": max(1, d_b // 2),
             "witnesses_valid": res is not None
-            and valid_output(final_graph(bl_stream), res, d_b // 2),
+            and FinalGraph(bl_stream).valid(res, d_b // 2),
             "space_words": proc.space_words(),
         }
     )
@@ -495,7 +483,7 @@ def table7(
             "witnesses": len(res[1]) if res else 0,
             "witness_guarantee": max(1, d_db // 2),
             "witnesses_valid": res is not None
-            and valid_output(final_graph(db_stream), res, d_db // 2),
+            and FinalGraph(db_stream).valid(res, d_db // 2),
             "space_words": proc.space_words(),
         }
     )

@@ -1,11 +1,9 @@
 """Witness applications: DoS timestamps and DB hot-key users."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro import synth_data
 from repro.apps import db_hotkeys, dos_detection
-from repro.oracle import assert_equivalent
 from repro.streamsim.stream import log_to_stream, stream_from_pandas
 
 
@@ -50,17 +48,6 @@ def test_dos_witness_guarantee_scales(router, c):
     d = 2000
     res, _ = dos_detection.detect_dos(df, n_dst=200, d=d, c=c, seed=c)
     assert res is not None and len(res[1]) >= d // c
-
-
-def test_dos_counts_oracle_checked(spark, router):
-    """The attack-frequency ground truth via Catalyst vs DuckDB."""
-    df, info = router
-    counts = df.groupBy("dst").agg(F.count("*").alias("cnt"))
-    assert_equivalent(
-        counts,
-        "select dst, count(*) as cnt from log group by dst",
-        log=df,
-    )
 
 
 def test_db_hot_key_found_with_users(dblog):

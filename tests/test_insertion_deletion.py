@@ -11,7 +11,7 @@ from repro import space, synth_data
 from repro.core.insertion_deletion import InsertionDeletionND
 from repro.core.l0_sampler import L0SamplerBank
 from repro.streamsim.runner import run_stream_pandas
-from repro.streamsim.stream import final_graph
+from repro.streamsim.stream import FinalGraph
 
 
 def run_on(pdf, n, m, d, c, seed=0):
@@ -59,10 +59,8 @@ def test_output_edges_exist_in_final_graph(one_heavy, c):
     deleted (churn) edge."""
     pdf, _ = one_heavy
     p = run_on(pdf, 128, 256, 16, c, seed=10 + c)
-    v, bs = p.result()
-    fg = final_graph(pdf)
-    edges = set(zip(fg["a"], fg["b"]))
-    assert all((v, b) in edges for b in bs)
+    res = p.result()
+    assert res is not None and FinalGraph(pdf).valid(res, p.d_c)
 
 
 def test_churn_would_fool_insertion_only(one_heavy):
@@ -70,9 +68,9 @@ def test_churn_would_fool_insertion_only(one_heavy):
     final degree, so degree counting over inserts alone overcounts."""
     pdf, info = one_heavy
     ins_deg = pdf[pdf["op"] == 1].groupby("a").size()
-    fin_deg = final_graph(pdf).groupby("a").size()
+    fg = FinalGraph(pdf)
     decoys = [v for v in ins_deg.index if v not in info["heavy"]]
-    assert any(ins_deg[v] > fin_deg.get(v, 0) for v in decoys)
+    assert any(ins_deg[v] > len(fg.neighbours(v)) for v in decoys)
 
 
 def test_vertex_strategy_wins_on_many_heavy(many_heavy):
@@ -186,10 +184,10 @@ def test_batch_size_invariance_random_streams(pdf, batch, seed, c):
     split = run_stream_pandas(mk(), pdf, batch_size=batch)
     for got, want in zip(bank_cells(split), bank_cells(whole)):
         assert np.array_equal(got, want)
-    assert split.recovered_neighborhoods() == whole.recovered_neighborhoods()
-    alive = set(map(tuple, final_graph(pdf)[["a", "b"]].to_numpy().tolist())) if len(pdf) else set()
-    for v, bs in whole.recovered_neighborhoods().items():
-        assert all((v, b) in alive for b in bs)
+    assert split.neighborhoods() == whole.neighborhoods()
+    fg = FinalGraph(pdf)
+    for v, bs in whole.neighborhoods().items():
+        assert fg.valid((v, bs), 1)
 
 
 @pytest.mark.parametrize("a, b, op", [(-1, 20, 1), (16, 3, 1), (3, -1, 1), (3, 16, 1),
@@ -240,10 +238,9 @@ def test_fail_reported_when_graph_empty():
 def test_insert_then_delete_everything(one_heavy):
     """Deleting the entire graph leaves an empty sketch -> fail."""
     pdf, _ = one_heavy
-    fg = final_graph(pdf)
-    anti = fg.copy()
-    anti["op"] = -1
-    anti["pos"] = np.arange(len(anti)) + pdf["pos"].max() + 1
-    both = pd.concat([pdf, anti[["pos", "a", "b", "op"]]], ignore_index=True)
+    fg = FinalGraph(pdf)
+    anti = pd.DataFrame({"pos": np.arange(len(fg.a)) + pdf["pos"].max() + 1,
+                         "a": fg.a, "b": fg.b, "op": -1})
+    both = pd.concat([pdf, anti], ignore_index=True)
     p = run_on(both, 128, 256, 16, 4, seed=13)
     assert p.result() is None

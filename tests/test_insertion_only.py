@@ -9,8 +9,7 @@ from repro import space, synth_data
 from repro.core.deg_res_sampling import DegResSampling
 from repro.core.insertion_only import InsertionOnlyND, run_thresholds
 from repro.streamsim.runner import run_stream_pandas
-from repro.streamsim.stream import canonical, final_graph
-from repro.tables import valid_output
+from repro.streamsim.stream import FinalGraph, canonical
 
 
 def run_on(pdf, n, d, c, seed=0, batch_size=4096):
@@ -81,11 +80,9 @@ def test_success_and_validity_all_orderings(order, c):
     )
     p = run_on(pdf, n, d, c, seed=41)
     assert p.succeeded(), f"failed on order={order}, c={c}"
-    v, bs = p.result()
-    assert len(bs) >= max(1, d // c)
     # output must be a genuine neighborhood of the input graph
-    true_nbrs = set(pdf.loc[pdf["a"] == v, "b"].tolist())
-    assert bs <= true_nbrs
+    res = p.result()
+    assert res is not None and FinalGraph(pdf).valid(res, max(1, d // c))
 
 
 @pytest.mark.parametrize("profile", ["uniform", "zipf"])
@@ -159,9 +156,8 @@ def test_output_neighborhood_of_reported_vertex_only():
     n, d, c = 64, 16, 2
     pdf, _ = synth_data.planted_star_pandas(n=n, m=256, d=d, avg_deg=3.0, seed=41)
     p = run_on(pdf, n, d, c)
-    v, bs = p.result()
-    edges = set(zip(pdf["a"], pdf["b"]))
-    assert all((v, b) in edges for b in bs)
+    res = p.result()
+    assert res is not None and FinalGraph(pdf).valid(res, p.d_c)
 
 
 def test_batch_size_invariance():
@@ -196,10 +192,23 @@ def test_no_heavy_vertex_no_false_large_output():
         "b": np.arange(300), "op": np.int32(1),
     })
     p = run_on(pdf, 64, 200, 2)
-    res = p.result()
-    if res is not None:
-        v, bs = res
-        assert bs <= set(pdf.loc[pdf["a"] == v, "b"])
+    assert FinalGraph(pdf).valid(p.result(), p.d_c)
+
+
+def test_neighborhoods_are_largest_collected_set_per_vertex():
+    """Each vertex maps to the largest witness set any run collected."""
+    n, d, c = 64, 16, 4
+    pdf, _ = synth_data.planted_star_pandas(n=n, m=256, d=d, avg_deg=3.0, seed=47)
+    p = run_on(pdf, n, d, c, seed=3)
+    held: dict[int, list[set[int]]] = {}
+    for r in p.runs:
+        for v, ws in r.collected.items():
+            held.setdefault(v, []).append(set(ws))
+    assert any(len({frozenset(s) for s in sets}) > 1 for sets in held.values())
+    got = p.neighborhoods()
+    assert got.keys() == held.keys()
+    for v, sets in held.items():
+        assert got[v] in sets and len(got[v]) == max(map(len, sets))
 
 
 def test_degree_array_shared_across_runs():
@@ -227,7 +236,7 @@ def test_output_valid_on_random_simple_streams(data, n, m, d, c, seed):
     p = run_on(pdf, n, d, c, seed=seed, batch_size=batch_size)
     res = p.result()
     assert p.succeeded() == (res is not None)
-    assert valid_output(final_graph(pdf), res, p.d_c)
+    assert FinalGraph(pdf).valid(res, p.d_c)
 
 
 def test_merge_rejects_mismatched_params():

@@ -8,6 +8,7 @@ import pytest
 from repro import synth_data
 from repro.core.star_detection import StarDetection, delta_guesses, double_cover
 from repro.streamsim.runner import run_stream_pandas
+from repro.streamsim.stream import FinalGraph
 
 
 def test_delta_guesses_geometric():
@@ -52,8 +53,7 @@ def test_insertion_only_approximation(n, planted):
     guarantee = info["delta"] / ((1 + sd.eps) * sd.c)
     assert len(bs) >= guarantee
     # star must be genuine: every leaf adjacent to v in the input
-    adj = set(map(tuple, pdf[["u", "v"]].to_numpy()))
-    assert all((min(v, b), max(v, b)) in adj for b in bs)
+    assert FinalGraph(double_cover(pdf)).valid(res, 1)
 
 
 def test_turnstile_approximation():
@@ -66,6 +66,21 @@ def test_turnstile_approximation():
     res = sd.result()
     assert res is not None
     assert len(res[1]) >= info["delta"] / (2 * 4)
+    assert FinalGraph(double_cover(pdf)).valid(res, 1)
+
+
+@pytest.mark.parametrize("model", ["insertion_only", "turnstile"])
+def test_result_is_largest_stored_neighborhood(model):
+    """The reported star is one of the guesses' stored neighbourhoods,
+    and none of them is larger."""
+    n = 64
+    pdf, _ = synth_data.general_graph_pandas(n=n, avg_deg=2.0, planted_deg=24, seed=89)
+    sd = StarDetection(n, c=4, eps=1.0, seed=2, model=model)
+    run_stream_pandas(sd, pdf, batch_size=2048)
+    stored = [(v, bs) for run in sd.runs for v, bs in run.neighborhoods().items()]
+    v, bs = sd.result()
+    assert (v, bs) in stored
+    assert len(bs) == max(len(s) for _, s in stored)
 
 
 def test_space_is_semi_streaming_scale():

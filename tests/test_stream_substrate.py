@@ -7,7 +7,6 @@ import pytest
 from repro import synth_data
 from repro.core.exact_baseline import ExactND
 from repro.core.insertion_only import InsertionOnlyND
-from repro.oracle import assert_equivalent
 from repro.streamsim import stream as ss
 from repro.streamsim.runner import (
     checkpoint,
@@ -90,9 +89,15 @@ def test_iter_batches_sizes(small_stream):
 
 
 def test_final_graph_insertion_only_is_identity(small_stream):
+    """The edge list itself, sorted by (a, b), each vertex's neighbours
+    found by its lookup."""
     _, pdf, _ = small_stream
-    fg = ss.final_graph(pdf)
-    assert set(zip(fg["a"], fg["b"])) == set(zip(pdf["a"], pdf["b"]))
+    fg = ss.FinalGraph(pdf)
+    want = pdf.sort_values(["a", "b"])
+    assert fg.a.tolist() == want["a"].tolist() and fg.b.tolist() == want["b"].tolist()
+    for v, nbrs in pdf.groupby("a")["b"]:
+        assert fg.neighbours(v).tolist() == sorted(nbrs)
+    assert len(fg.neighbours(64)) == 0
 
 
 def test_final_graph_cancels_deletions():
@@ -104,20 +109,9 @@ def test_final_graph_cancels_deletions():
             "op": [1, 1, 1, -1],
         }
     )
-    fg = ss.final_graph(pdf)
-    assert set(zip(fg["a"], fg["b"])) == {(1, 6), (2, 7)}
-
-
-def test_degrees_oracle_checked(spark, small_stream):
-    """Catalyst degree aggregation vs the DuckDB oracle."""
-    df, pdf, _ = small_stream
-    from repro.core.exact_baseline import degrees_spark
-
-    assert_equivalent(
-        degrees_spark(df),
-        "select a, count(*) as deg from edges group by a",
-        edges=pdf,
-    )
+    fg = ss.FinalGraph(pdf)
+    assert list(zip(fg.a.tolist(), fg.b.tolist())) == [(1, 6), (2, 7)]
+    assert fg.neighbours(1).tolist() == [6]
 
 
 @pytest.mark.parametrize("batch_size", [13, 500])

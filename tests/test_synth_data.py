@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro import synth_data
-from repro.streamsim.stream import final_graph
+from repro.streamsim.stream import FinalGraph
 
 ORDERS = ["random", "heavy_last", "heavy_first", "by_vertex"]
 PROFILES = ["uniform", "zipf"]
@@ -101,13 +101,11 @@ def test_turnstile_final_graph_is_planted_star():
     pdf, info = synth_data.turnstile_star_pandas(
         n=64, m=256, d=16, avg_deg=3.0, churn=0.5, seed=4
     )
-    fg = final_graph(pdf)
-    deg = fg.groupby("a").size()
+    fg = FinalGraph(pdf)
     for v, nbrs in info["heavy"].items():
-        assert deg.loc[v] == len(nbrs)
-        assert set(fg[fg["a"] == v]["b"]) == nbrs
-    others = deg.drop(index=list(info["heavy"]), errors="ignore")
-    assert (others < 16).all()
+        assert fg.neighbours(v).tolist() == sorted(nbrs)
+    others = np.setdiff1d(np.arange(64), list(info["heavy"]))
+    assert all(len(fg.neighbours(v)) < 16 for v in others)
 
 
 def test_turnstile_deletes_follow_inserts():

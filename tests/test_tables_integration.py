@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro import tables
-from repro.streamsim.stream import final_graph
+from repro.streamsim.stream import FinalGraph
 
 
 @pytest.fixture(scope="module")
@@ -20,13 +20,20 @@ def test_table1_success_and_validity(t1):
 
 def test_valid_output_checks_non_planted_vertex():
     """Vertex 0 is the planted one. Vertex 1 reported with a witness that
-    is not its neighbour, or with fewer than d/c witnesses, is invalid."""
+    is not its neighbour, or with fewer than d/c witnesses, is invalid;
+    so is one whose witness edge was inserted and then deleted."""
     pdf = pd.DataFrame({"pos": range(5), "a": [0, 0, 0, 1, 1], "b": [1, 2, 3, 4, 5], "op": 1})
-    graph = final_graph(pdf)
-    assert tables.valid_output(graph, (1, {4, 5}), 2)
-    assert not tables.valid_output(graph, (1, {4, 9}), 2)
-    assert not tables.valid_output(graph, (1, {4}), 2)
-    assert tables.valid_output(graph, None, 2)
+    graph = FinalGraph(pdf)
+    assert graph.valid((1, {4, 5}), 2)
+    assert not graph.valid((1, {4, 9}), 2)
+    assert not graph.valid((1, {4}), 2)
+    assert not graph.valid((1, [4, 4]), 2)
+    assert graph.valid(None, 2)
+    churned = pd.concat([pdf, pd.DataFrame({"pos": [5], "a": [1], "b": [5], "op": -1})])
+    graph = FinalGraph(churned)
+    assert graph.valid((1, {4}), 1)
+    assert not graph.valid((1, {4, 5}), 2)
+    assert not graph.valid((1, {5}), 1)
 
 
 def test_table1_space_shape(t1):
