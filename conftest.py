@@ -70,6 +70,9 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        # PySpark's call-site capture for DataFrame errors imports IPython
+        # into the driver on the first Column operator.
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -8,9 +8,9 @@ tables: the point of Theorems 3.2/5.4 is to beat ``O(nd)``.
 :class:`ExactND` is the one "exact count plus first ``d`` witnesses per
 key" collector of the repository: Misra–Gries with witness buffers
 (:class:`repro.core.misra_gries.MisraGries`) is this collector plus
-counter eviction, and each state bucket of the Structured Streaming
-operator (:mod:`repro.streamsim.structured`) is one checkpointed
-``ExactND(None, w)``. With ``n`` given, ids are checked against
+counter eviction, and the Structured Streaming witness query
+(:mod:`repro.streamsim.structured`) feeds one checkpointed
+``ExactND(None, w)`` on the driver. With ``n`` given, ids are checked against
 ``[0, n)`` and the degree array is charged ``n`` words, as in the
 paper; without it, any integer is a key and each key costs two words.
 """
