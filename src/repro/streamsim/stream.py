@@ -29,6 +29,7 @@ from pyspark.sql import functions as F
 STREAM_DTYPES = {"pos": "int64", "a": "int64", "b": "int64", "op": "int32"}
 STREAM_COLS = list(STREAM_DTYPES)
 _SPARK_TYPES = {"int64": "long", "int32": "int"}
+STREAM_SCHEMA = ", ".join(f"{c} {_SPARK_TYPES[t]}" for c, t in STREAM_DTYPES.items())
 
 
 def canonical(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -59,8 +60,20 @@ def canonical(pdf: pd.DataFrame) -> pd.DataFrame:
 
 
 def stream_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Lift a pandas edge list into a Spark stream (through :func:`canonical`)."""
-    return spark.createDataFrame(canonical(pdf))
+    """Lift a pandas edge list into a Spark stream (through :func:`canonical`).
+
+    The rows are materialized once in Spark's block manager
+    (``localCheckpoint``): a frame built from pandas is otherwise a
+    ``LocalRelation``, whose rows are serialized into the tasks of every
+    job that scans it. The lift therefore runs one materializing job, a
+    cost without a return for a caller that reads the stream only once;
+    every later job reads the cached partitions, and Spark frees them
+    after the frame is dropped, at the JVM's next garbage collection. A
+    local checkpoint is lost if its executor dies, which in local mode
+    is the driver that built the stream anyway. An empty stream lifts
+    with the canonical column types.
+    """
+    return spark.createDataFrame(canonical(pdf), STREAM_SCHEMA).localCheckpoint()
 
 
 def log_to_stream(log_df: DataFrame, item: str, witness: str) -> DataFrame:

@@ -26,7 +26,7 @@ from repro.core.l0_sampler import L0SamplerBank
 from repro.core.misra_gries import MisraGries
 from repro.core.star_detection import StarDetection, double_cover
 from repro.streamsim.runner import run_stream, run_stream_pandas
-from repro.streamsim.stream import FinalGraph, log_to_stream
+from repro.streamsim.stream import FinalGraph, log_to_stream, stream_from_pandas
 
 
 # ---------------------------------------------------------------------- #
@@ -45,7 +45,7 @@ def table1(
     pdf, _ = synth_data.planted_star_pandas(
         n=n, m=4 * n, d=d, avg_deg=avg_deg, order="random", seed=seed
     )
-    df, graph = spark.createDataFrame(pdf), FinalGraph(pdf)
+    df, graph = stream_from_pandas(spark, pdf), FinalGraph(pdf)
     rows = []
     for c in cs:
         proc = run_stream(InsertionOnlyND(n, d, c, seed=seed + c), df, batch_size)

@@ -21,7 +21,7 @@ def instance(spark):
     pdf, info = synth_data.planted_star_pandas(
         n=n, m=1024, d=d, avg_deg=3.0, order="random", seed=51
     )
-    return stream_from_pandas(spark, pdf).cache(), info, n, d
+    return stream_from_pandas(spark, pdf), info, n, d
 
 
 def test_priority_deterministic_and_uniformish():

@@ -40,9 +40,42 @@ def test_stream_from_pandas_schema(spark):
     {"a": [1, 2, 1], "b": [3, 4, 3]},
 ], ids=["op_2", "repeated_pos", "repeated_edge"])
 def test_stream_from_pandas_rejects_broken_stream(spark, bad):
-    """Each of these used to be lifted into a stream as it was."""
-    with pytest.raises(ValueError):
-        ss.stream_from_pandas(spark, pd.DataFrame(bad))
+    """Each of these used to be lifted into a stream as it was. The check
+    comes before the lift's materializing job, so no Spark job runs."""
+    sc = spark.sparkContext
+    sc.setJobGroup("broken-lift", "lift of a broken stream")
+    try:
+        with pytest.raises(ValueError):
+            ss.stream_from_pandas(spark, pd.DataFrame(bad))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup("broken-lift") == []
+
+
+def test_stream_from_pandas_of_empty_stream(spark):
+    """Used to raise CANNOT_INFER_EMPTY_SCHEMA: an empty frame has no
+    rows to infer the column types from."""
+    df = ss.stream_from_pandas(spark, pd.DataFrame({"a": [], "b": []}))
+    got = df.toPandas()
+    assert got.empty and got.columns.tolist() == ss.STREAM_COLS
+    assert list(got.dtypes.astype(str)) == list(ss.STREAM_DTYPES.values())
+    p = run_stream(ExactND(8, 4), df, batch_size=1)
+    assert not p.stored
+
+
+def test_stream_from_pandas_materializes_once(spark, small_stream, capsys):
+    """The lifted stream is read from Spark's block manager, not from a
+    LocalRelation whose rows every job would ship again, and every action
+    on it returns the canonical rows."""
+    _, pdf, _ = small_stream
+    df = ss.stream_from_pandas(spark, pdf.sample(frac=1, random_state=1))
+    df.explain(mode="extended")
+    plans = capsys.readouterr().out
+    assert "== Optimized Logical Plan ==" in plans
+    assert "LocalRelation" not in plans and "LocalTableScan" not in plans
+    want = ss.in_stream_order(ss.canonical(pdf)).reset_index(drop=True)
+    for got in (df.toPandas(), df.toArrow().to_pandas()):
+        pd.testing.assert_frame_equal(ss.in_stream_order(got).reset_index(drop=True), want)
 
 
 def test_canonical_keeps_reinserted_edge_of_turnstile_stream():
