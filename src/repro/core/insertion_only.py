@@ -35,6 +35,7 @@ from pyspark.sql import DataFrame
 from repro.core.collect import running_rank
 from repro.core.deg_res_sampling import DegResSampling
 from repro.space import reservoir_size
+from repro.streamsim import worker
 from repro.streamsim.stream import check_batch, in_stream_order
 
 
@@ -132,6 +133,7 @@ def _map_partition(
 ) -> Iterator[pd.DataFrame]:
     """``mapInPandas`` body: one :func:`_partition_pass` over the whole
     partition, nothing for an empty one."""
+    worker.install()
     frames = list(frames)
     if sum(map(len, frames)):
         yield _partition_pass(pd.concat(frames, ignore_index=True), n, d, c, s, seed)
@@ -150,7 +152,9 @@ def run_distributed(
 
     Returns ``{"result": (a, set_b) | None, "space_words": int, "proc":
     InsertionOnlyND}``: the partitions' processors merged into one, its
-    draw and its space.
+    draw and its space. Each partition body installs
+    :func:`repro.streamsim.worker.install` in its reused Python worker, so
+    later tasks skip PySpark's per-task zip-directory re-reads.
     """
     s = reservoir_size(n, c) if s is None else s
     blobs = (

@@ -228,18 +228,21 @@ def sketch_stream_spark(df: DataFrame, make_bank) -> L0SamplerBank:
     ``make_bank()`` must construct identically-seeded banks; each Spark
     partition sketches its rows (``mapInPandas``), the driver merges by
     addition. Rows need columns ``idx`` (coordinate) and ``op`` (signed
-    multiplicity delta).
+    multiplicity delta). An empty partition ships nothing.
     """
 
     def part(it):
-        bank = make_bank()
+        bank = None
         for pdf in it:
             if len(pdf):
+                if bank is None:
+                    bank = make_bank()
                 bank.update(
                     pdf["idx"].to_numpy(np.int64),
                     pdf["op"].to_numpy(np.int64),
                 )
-        yield pd.DataFrame({"blob": [pickle.dumps(bank)]})
+        if bank is not None:
+            yield pd.DataFrame({"blob": [pickle.dumps(bank)]})
 
     parts = df.mapInPandas(part, schema="blob binary").collect()
     merged = make_bank()

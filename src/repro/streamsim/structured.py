@@ -44,9 +44,11 @@ item a batch saw.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import queue
+import socket
 import time
 from concurrent.futures import Future
 from typing import Callable
@@ -147,13 +149,23 @@ def run_nd_query(
     query. That thread only hands the batch to the calling thread and
     waits until it is processed and saved, so Spark commits a batch only
     after its save, and only the calling thread touches the processor
-    (and allocates for it).
+    (and allocates for it). Once the query has stopped, the py4j
+    connection that served its callbacks is shut down, so neither its
+    driver thread nor its socket outlives the query.
     """
     saved = load_processor(checkpoint_dir)
     last, proc = saved if saved is not None else (-1, make_proc())
     handoff: queue.Queue = queue.Queue()
+    # In pinned-thread mode (PySpark's default) py4j serves the query's
+    # callbacks on a driver thread and socket bound to its
+    # stream-execution thread, and nothing closes them when the query ends.
+    thread_connection = getattr(
+        spark.sparkContext._gateway._gateway_client, "get_thread_connection", None)
+    callback_connections: set = set()
 
     def on_batch(df: DataFrame, batch_id: int) -> None:
+        if thread_connection is not None:
+            callback_connections.add(thread_connection())
         done: Future = Future()
         handoff.put((df, batch_id, done))
         done.result()
@@ -186,7 +198,15 @@ def run_nd_query(
                 raise
             done.set_result(None)
     finally:
-        q.stop()
+        q.stop()  # returns once the stream-execution thread has ended
+        for connection in callback_connections:
+            # A shutdown, not close(): the serving thread blocks reading
+            # the socket; at end of stream it closes the connection and
+            # exits, where close() would wait on its buffer lock.
+            sock = connection.socket
+            if sock is not None:
+                with contextlib.suppress(OSError):  # the JVM already hung up
+                    sock.shutdown(socket.SHUT_RDWR)
     q.awaitTermination()
     return proc
 

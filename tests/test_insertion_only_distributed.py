@@ -1,6 +1,8 @@
 """Distributed Algorithm 2: a hash repartition on the A-vertex, mapInPandas
 per partition, and a driver-side processor merge."""
 import pickle
+import sys
+import zipimport
 
 import numpy as np
 import pandas as pd
@@ -8,7 +10,9 @@ import pytest
 
 from repro import synth_data
 from repro.core.deg_res_sampling import _priority
-from repro.core.insertion_only import InsertionOnlyND, _partition_pass, run_distributed
+from repro.core.insertion_only import (
+    InsertionOnlyND, _map_partition, _partition_pass, run_distributed,
+)
 from repro.space import reservoir_size
 from repro.streamsim.runner import run_stream_pandas
 from repro.streamsim.stream import stream_from_pandas
@@ -153,6 +157,25 @@ def test_distributed_over_reverse_pos_frame_equals_sequential(spark, instance):
     seq = run_stream_pandas(InsertionOnlyND(n, d, 4, seed=19, s=8), pdf, 128)
     got = run_distributed(rev, n, d, 4, seed=19, num_partitions=4, s=8)["proc"]
     assert_same_processor(got, seq)
+
+
+def test_zip_importer_patch_lives_in_workers_only(spark, instance):
+    """A partition body installs ``repro.streamsim.worker`` in its Spark
+    Python worker (before Python 3.13); the driver keeps the stdlib
+    ``zipimporter.invalidate_caches``."""
+    df, info, n, d = instance
+    run_distributed(df, n, d, 2, seed=3, num_partitions=4)
+    assert zipimport.zipimporter.invalidate_caches.__module__ == "zipimport"
+
+    def probe(frames):
+        list(_map_partition(iter(()), n, d, 2, 4, 3))
+        for _ in frames:
+            pass
+        yield pd.DataFrame({"m": [zipimport.zipimporter.invalidate_caches.__module__]})
+
+    got = set(spark.range(4).repartition(4).mapInPandas(probe, "m string").toPandas()["m"])
+    assert got == {"zipimport" if sys.version_info >= (3, 13) else "repro.streamsim.worker"}
+    assert zipimport.zipimporter.invalidate_caches.__module__ == "zipimport"
 
 
 @pytest.mark.parametrize("seed", range(20))

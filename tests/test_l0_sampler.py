@@ -208,17 +208,15 @@ def test_levels_scale_with_dim():
     assert L0SamplerBank(1, 1 << 6).L < L0SamplerBank(1, 1 << 20).L
 
 
-def test_sketch_stream_spark_equals_local(spark):
-    from pyspark.sql import functions as F
-
-    g = np.random.default_rng(15)
+def _assert_spark_sketch_equals_local(spark, m, partitions):
     import pandas as pd
 
+    g = np.random.default_rng(15)
     pdf = pd.DataFrame(
-        {"idx": g.choice(1 << 10, size=1000).astype(np.int64),
-         "op": g.choice([-1, 1], size=1000).astype(np.int64)}
+        {"idx": g.choice(1 << 10, size=m).astype(np.int64),
+         "op": g.choice([-1, 1], size=m).astype(np.int64)}
     )
-    df = spark.createDataFrame(pdf).repartition(8)
+    df = spark.createDataFrame(pdf, "idx long, op long").repartition(partitions)
     mk = lambda: L0SamplerBank(32, 1 << 10, seed=21)
     merged = sketch_stream_spark(df, mk)
     local = mk()
@@ -226,6 +224,21 @@ def test_sketch_stream_spark_equals_local(spark):
     assert (merged.S0 == local.S0).all()
     assert (merged.S1 == local.S1).all()
     assert (merged.S2 == local.S2).all()
+    return merged
+
+
+def test_sketch_stream_spark_equals_local(spark):
+    _assert_spark_sketch_equals_local(spark, 1000, 8)
+
+
+@pytest.mark.parametrize("m, partitions", [(5, 16), (0, 4)])
+def test_sketch_stream_spark_with_empty_partitions_equals_local(spark, m, partitions):
+    """Empty partitions ship no bank: 5 rows over 16 partitions still
+    merge to the one-pass bank, and a frame with no rows gives
+    ``make_bank()``'s zero cells."""
+    merged = _assert_spark_sketch_equals_local(spark, m, partitions)
+    if m == 0:
+        assert not (merged.S0.any() or merged.S1.any() or merged.S2.any())
 
 
 def test_large_batch_accumulates_exactly():

@@ -2,6 +2,8 @@
 foreachBatch, exactly once (repro hint)."""
 import os
 import shutil
+import threading
+import time
 
 import numpy as np
 import pandas as pd
@@ -200,6 +202,33 @@ def test_nd_query_runs_algorithm_2_like_run_stream(spark, tmp_path):
     assert got.space_words() == want.space_words()
     res = got.result()
     assert res is not None and FinalGraph(pdf).valid(res, got.d_c)
+
+
+def test_sequential_queries_leave_no_driver_threads(spark, events, tmp_path):
+    """Each query's callbacks arrive on a py4j connection pinned to its
+    stream-execution thread; the query shuts it down when it ends, also
+    when its step fails, so ten queries in a row leave the driver's
+    thread count where it was."""
+    ind = str(tmp_path / "in")
+    st.write_event_files(events.head(50), ind, n_files=1)
+
+    def query(i, step=st.feed):
+        st.run_nd_query(spark, ind, str(tmp_path / f"cp{i}"), _name(),
+                        lambda: ExactND(None, 2), step)
+
+    def fails(proc, ev):
+        raise RuntimeError("step failed")
+
+    query(0)  # starts py4j's callback server, which stays for the session
+    before = threading.active_count()
+    for i in range(1, 10):
+        query(i)
+    with pytest.raises(RuntimeError, match="step failed"):
+        query(10, fails)
+    deadline = time.monotonic() + 10
+    while threading.active_count() > before + 2 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert threading.active_count() <= before + 2
 
 
 # ---------------------------------------------------------------------- #
